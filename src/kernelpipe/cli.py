@@ -44,6 +44,8 @@ def _qformat_from_args(args) -> QFormat:
 
 
 def _load_images(args) -> list[np.ndarray]:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     images = []
     if args.images:
         for path in args.images:

@@ -213,12 +213,6 @@ def load_mnist_idx(images_path, labels_path, count: int) -> list[tuple[Tensor, i
     return pairs
 
 
-def read_idx_header(images_path) -> tuple[int, int, int, int]:
-    """(magic, count, rows, cols) of an IDX image file."""
-    with open(images_path, "rb") as f:
-        return tuple(_read_be32(f, images_path, "header") for _ in range(4))
-
-
 # -- result CSVs -------------------------------------------------------------------
 
 

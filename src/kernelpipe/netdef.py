@@ -158,6 +158,33 @@ def infer_shapes(spec: NetworkSpec) -> list[Shape]:
     return shapes
 
 
+#: Weight-block name prefix per parameterized layer kind (Caffe naming).
+_WEIGHT_PREFIXES = {"conv": "conv", "fully_connected": "ip"}
+
+
+def weight_shapes(spec: NetworkSpec) -> dict[str, tuple[int, ...]]:
+    """Weight and bias shapes of every parameterized layer, in layer order.
+
+    Blocks are named ``conv<n>_w``/``conv<n>_b`` and ``ip<n>_w``/``ip<n>_b``,
+    counting each kind from 1.  Conv weights are (out_maps, in_channels, k,
+    k); fully-connected weights are (out_neurons, flattened input size).
+    """
+    shapes: dict[str, tuple[int, ...]] = {}
+    counts = dict.fromkeys(_WEIGHT_PREFIXES, 0)
+    for layer, inp in zip(spec.layers, (spec.input_shape, *infer_shapes(spec))):
+        if layer.kind == "conv":
+            w = (layer.out_maps, inp.dims[0], layer.kernel, layer.kernel)
+        elif layer.kind == "fully_connected":
+            w = (layer.out_neurons, inp.element_count)
+        else:
+            continue
+        counts[layer.kind] += 1
+        name = f"{_WEIGHT_PREFIXES[layer.kind]}{counts[layer.kind]}"
+        shapes[f"{name}_w"] = w
+        shapes[f"{name}_b"] = (w[0],)
+    return shapes
+
+
 def stage_io_shapes(spec: NetworkSpec) -> dict[str, tuple[Shape, Shape]]:
     """(input shape, output shape) for each of the five stages."""
     per_layer = infer_shapes(spec)

@@ -126,12 +126,12 @@ def group_schedule(nd: NdRange, cu_count: int) -> list[tuple[int, ...]]:
     return order
 
 
-def execute_kernel(kdef: KernelDef, nd: NdRange, macs: list, debug: bool = True):
+def execute_kernel(kdef: KernelDef, nd: NdRange, macs: list):
     """Run every work-item of the NDRange; returns nothing, mutates buffers."""
     shared_regions = {}
     for name, buf in kdef.bindings.items():
         if buf.kind == CONSTANT:
-            shared_regions[name] = RegionHandle(buf, AccessScope("item"), debug)
+            shared_regions[name] = RegionHandle(buf, AccessScope("item"))
         else:
             shared_regions[name] = buf  # global: unrestricted, counted internally
 
@@ -142,9 +142,8 @@ def execute_kernel(kdef: KernelDef, nd: NdRange, macs: list, debug: bool = True)
             regions = dict(shared_regions)
             for name, count in kdef.local_specs.items():
                 local_buf = Buffer(name, count, kind=LOCAL, owner_group=group_id)
-                regions[name] = RegionHandle(
-                    local_buf, AccessScope("item", group_id=group_id), debug
-                )
+                regions[name] = RegionHandle(local_buf,
+                                             AccessScope("item", group_id=group_id))
         ctxs = []
         for local_id in nd.local_ids():
             gid = nd.global_id(group_id, local_id)
@@ -154,8 +153,7 @@ def execute_kernel(kdef: KernelDef, nd: NdRange, macs: list, debug: bool = True)
                 for name, count in kdef.private_specs.items():
                     priv = Buffer(name, count, kind=PRIVATE, owner_item=gid)
                     item_regions[name] = RegionHandle(
-                        priv, AccessScope("item", group_id=group_id, item_id=gid), debug
-                    )
+                        priv, AccessScope("item", group_id=group_id, item_id=gid))
             ctxs.append(WorkItemCtx(gid, local_id, group_id, item_regions, macs))
 
         if not generator_body:

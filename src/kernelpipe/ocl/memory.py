@@ -5,8 +5,8 @@ byte-counted per command (both raw load/store traffic and first-touch unique
 bytes, the latter modeling the mandatory caching of global accesses).
 Constant memory is host-initialized and frozen once a kernel using it is
 enqueued.  Local memory is visible only inside one work-group, private
-memory only inside one work-item; in debug mode any cross-scope touch aborts
-the kernel with a violation.
+memory only inside one work-item; any cross-scope touch aborts the kernel
+with a violation.
 
 Kernels read and write regions through ``read``/``write`` with numpy-style
 keys; block reads return views, so by contract kernels mutate buffers only
@@ -160,25 +160,22 @@ class Buffer:
 
 
 class RegionHandle:
-    """A buffer as seen by one accessor; enforces visibility in debug mode."""
+    """A buffer as seen by one accessor; enforces visibility on every access."""
 
-    __slots__ = ("buffer", "scope", "debug")
+    __slots__ = ("buffer", "scope")
 
-    def __init__(self, buffer: Buffer, scope: AccessScope, debug: bool = True):
+    def __init__(self, buffer: Buffer, scope: AccessScope):
         self.buffer = buffer
         self.scope = scope
-        self.debug = debug
 
     def read(self, key):
-        if self.debug:
-            violation = check_region_access(self.buffer, self.scope, "read")
-            if violation is not None:
-                raise violation
+        violation = check_region_access(self.buffer, self.scope, "read")
+        if violation is not None:
+            raise violation
         return self.buffer.read(key)
 
     def write(self, key, value):
-        if self.debug:
-            violation = check_region_access(self.buffer, self.scope, "write")
-            if violation is not None:
-                raise violation
+        violation = check_region_access(self.buffer, self.scope, "write")
+        if violation is not None:
+            raise violation
         self.buffer.write(key, value)

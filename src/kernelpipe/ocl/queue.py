@@ -76,13 +76,12 @@ class _Command:
 class CommandQueue:
     """In-order queue over one emulated device.
 
-    ``lane_budget`` caps lanes x cu_count per kernel; ``debug`` enables
-    memory-region visibility enforcement during execution.
+    Memory-region visibility is enforced on every kernel run.  Datapath
+    width is not capped here: the platform's lane budget is a property of
+    the board, checked by :func:`kernelpipe.perf.estimate_time`.
     """
 
-    def __init__(self, lane_budget: int = 64, debug: bool = True):
-        self.lane_budget = lane_budget
-        self.debug = debug
+    def __init__(self):
         self._commands: list[_Command] = []
         self._ran = False
 
@@ -114,11 +113,6 @@ class CommandQueue:
     def enqueue_kernel(self, kernel: KernelDef, ndrange: NdRange,
                        waits=(), event: Event | None = None) -> Event:
         waits = self._check_waits(waits)
-        lanes = kernel.mode.lanes * kernel.mode.cu_count
-        if lanes > self.lane_budget:
-            raise QueueError(
-                f"kernel {kernel.name!r}: lanes x CUs = {lanes} exceeds budget {self.lane_budget}"
-            )
         for buf in kernel.bindings.values():
             if buf.kind == CONSTANT:
                 buf.freeze()
@@ -197,7 +191,7 @@ class CommandQueue:
 
             if cmd.kind == "kernel":
                 macs = [0]
-                execute_kernel(cmd.kernel, cmd.ndrange, macs, debug=self.debug)
+                execute_kernel(cmd.kernel, cmd.ndrange, macs)
                 record.macs = macs[0]
             elif cmd.kind == "write":
                 cmd.buffer.write(Ellipsis, cmd.host_data)

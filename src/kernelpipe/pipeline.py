@@ -8,9 +8,11 @@ completion events.  Fixed-point arithmetic matches
 aligned by a left shift, one round-to-nearest-even narrowing per output
 element, saturation instead of wraparound.
 
-Default launch geometry (all extents divide evenly; tunable, nothing in the
-math depends on it): conv_pool1 (12,12,20)/(4,4,1), conv2 (8,8,50)/(4,4,1),
-pool2 (4,4,50)/(4,4,1), ip1_relu (500)/(20), ip2 (10)/(10).
+Launch geometry: one work-item per output element.  Each stage's global
+size is its output extents from :func:`kernelpipe.netdef.lenet5_spec`, last
+axis first.  Only the work-group sizes in :data:`STAGE_LOCAL_SIZES` are
+tuning data: each divides its global size, and nothing in the math depends
+on them.
 """
 
 from __future__ import annotations
@@ -19,38 +21,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netdef import AVG_POOL, MAX_POOL, STAGE_NAMES
+from .netdef import MAX_POOL, STAGE_NAMES, NetworkSpec, lenet5_spec, stage_io_shapes
 from .ocl import Buffer, CommandQueue, KernelDef, NdRange, ParallelMode
 from .reference import winner_digit
 from .tensors import (
-    FixedPointOverflowError,
     QFormat,
-    Shape,
     Tensor,
     accumulation_is_static_safe,
-    accumulator_limit,
+    check_accumulation_bound,
     dequantize_array,
     div_round_even,
     quantize_array,
     rshift_round_even,
+    saturate,
 )
 from .weights import WeightStore
 
-STAGE_NDRANGES = {
-    "conv_pool1": NdRange((12, 12, 20), (4, 4, 1)),
-    "conv2": NdRange((8, 8, 50), (4, 4, 1)),
-    "pool2": NdRange((4, 4, 50), (4, 4, 1)),
-    "ip1_relu": NdRange((500,), (20,)),
-    "ip2": NdRange((10,), (10,)),
-}
-
-STAGE_OUTPUT_SHAPES = {
-    "conv_pool1": (20, 12, 12),
-    "conv2": (50, 8, 8),
-    "pool2": (50, 4, 4),
-    "ip1_relu": (500,),
+#: Work-group size per stage: the only launch tuning data.
+STAGE_LOCAL_SIZES = {
+    "conv_pool1": (4, 4, 1),
+    "conv2": (4, 4, 1),
+    "pool2": (4, 4, 1),
+    "ip1_relu": (20,),
     "ip2": (10,),
 }
+
+
+def stage_ndranges(spec: NetworkSpec) -> dict[str, NdRange]:
+    """Each stage's launch space: its output extents, last axis first, as
+    the global size and :data:`STAGE_LOCAL_SIZES` as the work-group size."""
+    return {name: NdRange(out.dims[::-1], STAGE_LOCAL_SIZES[name])
+            for name, (_, out) in stage_io_shapes(spec).items()}
 
 
 @dataclass(frozen=True)
@@ -82,41 +83,27 @@ class ForwardResult:
         raise KeyError(name)
 
 
-def _saturate_int(value: int, q: QFormat) -> int:
-    return q.raw_max if value > q.raw_max else (q.raw_min if value < q.raw_min else value)
+def _overflow_check(q: QFormat | None, w: np.ndarray, b: np.ndarray):
+    """Per-work-item accumulator-overflow check for a stage whose dot
+    products each run over one row of ``w`` (``w[0].size`` taps).
 
-
-class _Guard:
-    """Accumulator-overflow guard for one fixed-point stage.
-
-    When the format and actual weight magnitudes prove overflow impossible
-    the guard is a no-op; otherwise every work-item checks its own input
-    magnitudes before accumulating and raises instead of wrapping.
+    None when the format and actual weight magnitudes prove overflow
+    impossible; otherwise a function that raises
+    :class:`~kernelpipe.tensors.FixedPointOverflowError` when the input
+    values a work-item read could overflow its accumulator.
     """
-
-    __slots__ = ("active", "taps", "wmax", "bias_bound", "limit")
-
-    def __init__(self, q: QFormat | None, taps: int, w, b):
-        self.active = False
-        if q is None:
-            return
-        self.taps = taps
-        self.wmax = int(np.abs(w).max(initial=0))
-        self.bias_bound = int(np.abs(b).max(initial=0)) << q.frac_bits
-        self.limit = accumulator_limit(q)
-        self.active = not accumulation_is_static_safe(
-            taps, self.wmax, int(np.abs(b).max(initial=0)), q)
-
-    def check(self, window):
-        if self.active:
-            amax = int(np.abs(window).max(initial=0))
-            if self.taps * amax * self.wmax + self.bias_bound >= self.limit:
-                raise FixedPointOverflowError(
-                    f"accumulation of {self.taps} taps with |a|<={amax}, "
-                    f"|w|<={self.wmax} can exceed the accumulator")
+    if q is None:
+        return None
+    taps = w[0].size
+    wmax = int(np.abs(w).max(initial=0))
+    bmax = int(np.abs(b).max(initial=0))
+    if accumulation_is_static_safe(taps, wmax, bmax, q):
+        return None
+    return lambda x: check_accumulation_bound(taps, int(np.abs(x).max(initial=0)),
+                                              wmax, bmax, q)
 
 
-def _make_conv_pool1(q: QFormat | None, pool_op: str, guard: _Guard):
+def _make_conv_pool1(q: QFormat | None, pool_op: str, check):
     frac = q.frac_bits if q else 0
 
     def body(ctx):
@@ -132,23 +119,24 @@ def _make_conv_pool1(q: QFormat | None, pool_op: str, guard: _Guard):
                     vals.append(float((tile[dy:dy + 5, dx:dx + 5] * w).sum()) + b)
             out = max(vals) if pool_op == MAX_POOL else sum(vals) / 4.0
         else:
-            guard.check(tile)
+            if check:
+                check(tile)
             bias = int(b) << frac
             for dy in (0, 1):
                 for dx in (0, 1):
                     acc = int((tile[dy:dy + 5, dx:dx + 5] * w).sum()) + bias
-                    vals.append(_saturate_int(rshift_round_even(acc, frac), q))
+                    vals.append(saturate(rshift_round_even(acc, frac), q))
             if pool_op == MAX_POOL:
                 out = max(vals)
             else:
-                out = _saturate_int(div_round_even(sum(vals), 4), q)
+                out = saturate(div_round_even(sum(vals), 4), q)
         ctx.regions["dst"].write((m, oy, ox), out)
-        ctx.count_macs(100)
+        ctx.count_macs(len(vals) * w.size)
 
     return body
 
 
-def _make_conv2(q: QFormat | None, guard: _Guard):
+def _make_conv2(q: QFormat | None, check):
     frac = q.frac_bits if q else 0
 
     def body(ctx):
@@ -160,11 +148,12 @@ def _make_conv2(q: QFormat | None, guard: _Guard):
         if q is None:
             out = float((window * w).sum()) + b
         else:
-            guard.check(window)
+            if check:
+                check(window)
             acc = int((window * w).sum()) + (int(b) << frac)
-            out = _saturate_int(rshift_round_even(acc, frac), q)
+            out = saturate(rshift_round_even(acc, frac), q)
         ctx.regions["dst"].write((f, oy, ox), out)
-        ctx.count_macs(500)
+        ctx.count_macs(w.size)
 
     return body
 
@@ -179,13 +168,13 @@ def _make_pool2(q: QFormat | None, pool_op: str):
         elif q is None:
             out = float(block.sum()) / 4.0
         else:
-            out = _saturate_int(div_round_even(int(block.sum()), 4), q)
+            out = saturate(div_round_even(int(block.sum()), 4), q)
         ctx.regions["dst"].write((c, oy, ox), out)
 
     return body
 
 
-def _make_fc(q: QFormat | None, relu: bool, taps: int, guard: _Guard):
+def _make_fc(q: QFormat | None, relu: bool, check):
     frac = q.frac_bits if q else 0
 
     def body(ctx):
@@ -198,31 +187,33 @@ def _make_fc(q: QFormat | None, relu: bool, taps: int, guard: _Guard):
             if relu:
                 out = max(0.0, out)
         else:
-            guard.check(x)
+            if check:
+                check(x)
             acc = int(np.dot(w, x)) + (int(b) << frac)
-            out = _saturate_int(rshift_round_even(acc, frac), q)
+            out = saturate(rshift_round_even(acc, frac), q)
             if relu and out < 0:
                 out = 0
         ctx.regions["dst"].write(n, out)
-        ctx.count_macs(taps)
+        ctx.count_macs(w.size)
 
     return body
 
 
 def forward(image: np.ndarray, store: WeightStore, mode: ParallelMode | None = None,
-            pool_op: str = MAX_POOL, lane_budget: int = 64) -> ForwardResult:
-    """Run the five-stage pipeline on one 1x28x28 image.
+            pool_op: str = MAX_POOL) -> ForwardResult:
+    """Run the five-stage pipeline on one image of the network's input shape.
 
     A fixed-point store runs the quantized engine; a float64 store runs the
     same kernels in float64.  ``mode`` widens the datapath / replicates CUs;
     it never changes the computed values.
     """
-    if pool_op not in (MAX_POOL, AVG_POOL):
-        raise ValueError(f"unknown pool_op {pool_op!r}")
+    spec = lenet5_spec(pool_op)
+    io = stage_io_shapes(spec)
     mode = mode or ParallelMode()
     image = np.asarray(image, dtype=np.float64)
-    if image.shape != (1, 28, 28):
-        raise ValueError(f"image must have shape (1, 28, 28), got {image.shape}")
+    in_shape = spec.input_shape.dims
+    if image.shape != in_shape:
+        raise ValueError(f"image must have shape {in_shape}, got {image.shape}")
 
     q = store.qformat
     if q is None:
@@ -235,51 +226,45 @@ def forward(image: np.ndarray, store: WeightStore, mode: ParallelMode | None = N
     def buf(name, shape):
         return Buffer(name, shape, dtype=dtype, element_bytes=ebytes)
 
-    bufs = {
-        "input": buf("input", (1, 28, 28)),
-        "out_conv_pool1": buf("out_conv_pool1", STAGE_OUTPUT_SHAPES["conv_pool1"]),
-        "out_conv2": buf("out_conv2", STAGE_OUTPUT_SHAPES["conv2"]),
-        "out_pool2": buf("out_pool2", STAGE_OUTPUT_SHAPES["pool2"]),
-        "out_ip1_relu": buf("out_ip1_relu", STAGE_OUTPUT_SHAPES["ip1_relu"]),
-        "out_ip2": buf("out_ip2", STAGE_OUTPUT_SHAPES["ip2"]),
-    }
+    bufs = {"input": buf("input", in_shape)}
+    for name, (_, out_shape) in io.items():
+        bufs[f"out_{name}"] = buf(f"out_{name}", out_shape.dims)
     for wname, arr in store.arrays().items():
         bufs[wname] = buf(wname, arr.shape)
 
-    guards = {
-        "conv_pool1": _Guard(q, 25, store.conv1_w, store.conv1_b),
-        "conv2": _Guard(q, 500, store.conv2_w, store.conv2_b),
-        "ip1_relu": _Guard(q, 800, store.ip1_w, store.ip1_b),
-        "ip2": _Guard(q, 500, store.ip2_w, store.ip2_b),
-    }
     kernels = [
-        KernelDef("conv_pool1", _make_conv_pool1(q, pool_op, guards["conv_pool1"]),
+        KernelDef("conv_pool1",
+                  _make_conv_pool1(q, pool_op, _overflow_check(q, store.conv1_w, store.conv1_b)),
                   mode=mode, bindings={
             "src": bufs["input"], "wts": bufs["conv1_w"], "bias": bufs["conv1_b"],
             "dst": bufs["out_conv_pool1"]}),
-        KernelDef("conv2", _make_conv2(q, guards["conv2"]), mode=mode, bindings={
+        KernelDef("conv2", _make_conv2(q, _overflow_check(q, store.conv2_w, store.conv2_b)),
+                  mode=mode, bindings={
             "src": bufs["out_conv_pool1"], "wts": bufs["conv2_w"],
             "bias": bufs["conv2_b"], "dst": bufs["out_conv2"]}),
         KernelDef("pool2", _make_pool2(q, pool_op), mode=mode, bindings={
             "src": bufs["out_conv2"], "dst": bufs["out_pool2"]}),
-        KernelDef("ip1_relu", _make_fc(q, relu=True, taps=800, guard=guards["ip1_relu"]),
+        KernelDef("ip1_relu",
+                  _make_fc(q, relu=True, check=_overflow_check(q, store.ip1_w, store.ip1_b)),
                   mode=mode, bindings={
             "src": bufs["out_pool2"], "wts": bufs["ip1_w"], "bias": bufs["ip1_b"],
             "dst": bufs["out_ip1_relu"]}),
-        KernelDef("ip2", _make_fc(q, relu=False, taps=500, guard=guards["ip2"]),
+        KernelDef("ip2",
+                  _make_fc(q, relu=False, check=_overflow_check(q, store.ip2_w, store.ip2_b)),
                   mode=mode, bindings={
             "src": bufs["out_ip1_relu"], "wts": bufs["ip2_w"], "bias": bufs["ip2_b"],
             "dst": bufs["out_ip2"]}),
     ]
 
-    queue = CommandQueue(lane_budget=lane_budget)
+    queue = CommandQueue()
     write_events = [queue.enqueue_write(bufs["input"], image_dev)]
     for wname, arr in store.arrays().items():
         write_events.append(queue.enqueue_write(bufs[wname], arr))
 
+    ndranges = stage_ndranges(spec)
     waits = write_events
     for kernel in kernels:
-        ev = queue.enqueue_kernel(kernel, STAGE_NDRANGES[kernel.name], waits=waits)
+        ev = queue.enqueue_kernel(kernel, ndranges[kernel.name], waits=waits)
         waits = [ev]
     queue.enqueue_read(bufs["out_ip2"], waits=waits)
 
@@ -289,10 +274,9 @@ def forward(image: np.ndarray, store: WeightStore, mode: ParallelMode | None = N
     for name in STAGE_NAMES:
         rec = records[name]
         out = np.array(bufs[f"out_{name}"].array)
-        shape = Shape(*STAGE_OUTPUT_SHAPES[name])
         stages.append(StageResult(
             name=name,
-            output=Tensor(shape, out, q),
+            output=Tensor(io[name][1], out, q),
             bytes_read=rec.unique_bytes_read,
             bytes_written=rec.unique_bytes_written,
             macs=rec.macs,

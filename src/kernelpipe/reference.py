@@ -2,7 +2,7 @@
 
 Two ground truths live here, both free of the execution-model machinery:
 
-* :func:`forward_float` -- plain float64 loop nests, no quantization.  This
+* :func:`forward_float` -- plain float64 arithmetic, no quantization.  This
   is the functional baseline every fixed-point result is measured against.
 * :func:`forward_quantized` -- the same structure with fixed-point
   arithmetic inserted at every step: weights and the input are quantized,
@@ -35,29 +35,31 @@ def _check_layer(x: np.ndarray, taps: int, w: np.ndarray, b: np.ndarray, q: QFor
                              int(np.abs(b).max(initial=0)), q)
 
 
+def _conv_sums(x: np.ndarray, w: np.ndarray, dtype) -> np.ndarray:
+    """Valid stride-1 convolution sums of x (C,H,W) with w (M,C,k,k), no bias."""
+    k = w.shape[2]
+    windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))
+    return np.einsum("cyxij,fcij->fyx", windows, w, dtype=dtype)
+
+
+def _pool_blocks(x: np.ndarray, window: int, stride: int) -> np.ndarray:
+    """x (C,H,W) as (C, H/window, window, W/window, window) pooling blocks."""
+    c, h, w = x.shape
+    if window != stride or h % window or w % window:
+        raise ValueError("reference pooling expects non-overlapping exact windows")
+    return x.reshape(c, h // window, window, w // window, window)
+
+
 def conv_valid(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Valid (unpadded) stride-1 convolution: x (C,H,W), w (M,C,k,k), b (M,)."""
-    c, h, wd = x.shape
-    m, _, k, _ = w.shape
-    out = np.zeros((m, h - k + 1, wd - k + 1))
-    for f in range(m):
-        for oy in range(out.shape[1]):
-            for ox in range(out.shape[2]):
-                out[f, oy, ox] = np.sum(x[:, oy:oy + k, ox:ox + k] * w[f]) + b[f]
-    return out
+    return _conv_sums(x, w, np.float64) + b[:, None, None]
 
 
 def pool_2d(x: np.ndarray, window: int, stride: int, pool_op: str) -> np.ndarray:
-    c, h, w = x.shape
-    out = np.zeros((c, h // stride, w // stride))
-    reduce = np.max if pool_op == MAX_POOL else np.mean
-    for ch in range(c):
-        for oy in range(out.shape[1]):
-            for ox in range(out.shape[2]):
-                block = x[ch, oy * stride:oy * stride + window,
-                          ox * stride:ox * stride + window]
-                out[ch, oy, ox] = reduce(block)
-    return out
+    blocks = _pool_blocks(x, window, stride)
+    if pool_op == MAX_POOL:
+        return blocks.max(axis=(2, 4))
+    return blocks.mean(axis=(2, 4))
 
 
 def forward_float(image: np.ndarray, store: WeightStore,
@@ -90,20 +92,14 @@ def _conv_fixed(x: np.ndarray, w: np.ndarray, b: np.ndarray, q: QFormat) -> np.n
     headroom check has already ruled out overflow), so the vectorized
     reduction equals the canonical-order loop nest bit for bit.
     """
-    k = w.shape[2]
-    _check_layer(x, w.shape[1] * k * k, w, b, q)
-    windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))
-    acc = np.einsum("cyxij,fcij->fyx", windows, w, dtype=np.int64)
-    acc += (b << q.frac_bits)[:, None, None]
+    _check_layer(x, w[0].size, w, b, q)
+    acc = _conv_sums(x, w, np.int64) + (b << q.frac_bits)[:, None, None]
     return narrow_array(acc, q)
 
 
 def _pool_fixed(x: np.ndarray, window: int, stride: int, pool_op: str,
                 q: QFormat) -> np.ndarray:
-    c, h, w = x.shape
-    if window != stride or h % window or w % window:
-        raise ValueError("reference pooling expects non-overlapping exact windows")
-    blocks = x.reshape(c, h // window, window, w // window, window)
+    blocks = _pool_blocks(x, window, stride)
     if pool_op == MAX_POOL:
         return blocks.max(axis=(2, 4))
     sums = blocks.sum(axis=(2, 4), dtype=np.int64)

@@ -113,8 +113,7 @@ def quantize(x: float, q: QFormat) -> int:
         raise ValueError("cannot quantize NaN")
     if np.isinf(x):
         return q.raw_max if x > 0 else q.raw_min
-    raw = int(np.rint(float(x) * q.scale))
-    return min(max(raw, q.raw_min), q.raw_max)
+    return saturate(int(np.rint(float(x) * q.scale)), q)
 
 
 def dequantize(raw: int, q: QFormat) -> float:
@@ -137,33 +136,9 @@ def dequantize_array(raw: np.ndarray, q: QFormat) -> np.ndarray:
     return np.asarray(raw, dtype=np.float64) / q.scale
 
 
-def mac_fixed(acc: int, a: int, b: int, q: QFormat) -> int:
-    """acc + a*b in full precision; errors if the modeled accumulator overflows.
-
-    The accumulator is 2*total_bits + 16 guard bits wide.  Overflow is a hard
-    error rather than wraparound: it signals a mis-sized accumulator, not a
-    representable result.
-    """
-    acc = acc + a * b
-    limit = 1 << (q.accumulator_bits - 1)
-    if not -limit <= acc < limit:
-        raise FixedPointOverflowError(
-            f"accumulator {acc} exceeds {q.accumulator_bits}-bit width for {q}"
-        )
-    return acc
-
-
-def narrow_accumulator(acc: int, q: QFormat) -> int:
-    """One-time narrowing of a product accumulator back to QFormat raws.
-
-    The accumulator carries scale 2**(2*frac_bits); dividing by 2**frac_bits
-    with round-to-nearest-even and saturating yields the output raw.
-    """
-    return saturate(rshift_round_even(acc, q.frac_bits), q)
-
-
 def saturate(raw: int, q: QFormat) -> int:
-    return min(max(raw, q.raw_min), q.raw_max)
+    """Clamp a raw value to the format's range (saturation, never wraparound)."""
+    return q.raw_max if raw > q.raw_max else (q.raw_min if raw < q.raw_min else raw)
 
 
 def rshift_round_even(value: int, shift: int) -> int:
@@ -201,9 +176,9 @@ def narrow_array(acc: np.ndarray, q: QFormat) -> np.ndarray:
 def accumulator_limit(q: QFormat) -> int:
     """Magnitude the engine's accumulators must stay below.
 
-    The modeled width is 2*total_bits + 16 guard bits; the vectorized
-    engine additionally runs on 64-bit integer lanes, so wide formats are
-    capped there (the scalar :func:`mac_fixed` carries the full contract).
+    The modeled width is 2*total_bits + 16 guard bits; the engine and the
+    vectorized reference accumulate in 64-bit integer lanes, so wide formats
+    are capped there.
     """
     return min(1 << (q.accumulator_bits - 1), 1 << 62)
 

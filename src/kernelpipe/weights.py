@@ -1,7 +1,9 @@
 """Weight storage for the five-kernel pipeline.
 
 One store carries all four parameterized layers, either as float64 (the
-ingested form) or as fixed-point raws under a single QFormat.
+ingested form) or as fixed-point raws under a single QFormat.  Block names,
+shapes and their order (the order weight files are written in) come from
+:func:`kernelpipe.netdef.lenet5_spec`.
 """
 
 from __future__ import annotations
@@ -10,18 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .netdef import lenet5_spec, weight_shapes
 from .tensors import QFormat, quantize_array, dequantize_array
 
-WEIGHT_SHAPES = {
-    "conv1_w": (20, 1, 5, 5),
-    "conv1_b": (20,),
-    "conv2_w": (50, 20, 5, 5),
-    "conv2_b": (50,),
-    "ip1_w": (500, 800),
-    "ip1_b": (500,),
-    "ip2_w": (10, 500),
-    "ip2_b": (10,),
-}
+WEIGHT_SHAPES = weight_shapes(lenet5_spec())
 
 
 @dataclass(frozen=True)

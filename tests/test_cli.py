@@ -73,15 +73,26 @@ class TestClassify:
         assert "/nonexistent/w.txt" in capsys.readouterr().err
 
     def test_mode_flags(self, fixture_files, capsys):
-        base = main(["classify", "--weights", fixture_files["weights"][0],
-                     "--images", fixture_files["images"][0]])
+        args = ["classify", "--weights", fixture_files["weights"][0],
+                "--images", fixture_files["images"][0]]
+        assert main(args) == 0
         out_none = capsys.readouterr().out
-        rc = main(["classify", "--weights", fixture_files["weights"][0],
-                   "--images", fixture_files["images"][0],
-                   "--mode", "simd", "--width", "8", "--cu", "2"])
-        out_simd = capsys.readouterr().out
-        assert base == rc == 0
-        assert out_simd == out_none  # datapath width never changes values
+        # datapath width never changes values; 128 lanes are within the
+        # platform lane budget, so the engine runs them too
+        for flags in (["--mode", "simd", "--width", "8", "--cu", "2"],
+                      ["--mode", "simd", "--width", "128"]):
+            assert main(args + flags) == 0, flags
+            assert capsys.readouterr().out == out_none, flags
+
+    def test_count_below_one_is_user_error(self, fixture_files, capsys):
+        for argv in (["classify", "--weights", fixture_files["weights"][0],
+                      "--count", "0", "--oracle"],
+                     ["classify", "--weights", fixture_files["weights"][0],
+                      "--count", "-1"],
+                     ["sweep", "--count", "0"],
+                     ["sweep", "--count", "-1"]):
+            assert main(argv) == 1, argv
+            assert "--count" in capsys.readouterr().err, argv
 
     def test_deterministic_output(self, fixture_files, tmp_path):
         args = ["classify", "--weights", fixture_files["weights"][0],

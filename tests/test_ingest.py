@@ -11,7 +11,6 @@ from kernelpipe.ingest import (
     load_image_text,
     load_mnist_idx,
     load_weights_text,
-    read_idx_header,
     read_results_csv,
     read_sweep_csv,
     write_accel_csv,
@@ -127,8 +126,12 @@ def write_idx_pair(tmp_path, count=3, rows=28, cols=28, image_magic=2051,
 
 class TestIdx:
     def test_header_fields(self, tmp_path):
-        img_path, _, _, _ = write_idx_pair(tmp_path, count=10)
-        assert read_idx_header(img_path) == (2051, 10, 28, 28)
+        # a 10-image 28x28 header admits exactly 10 images of that shape
+        img_path, lab_path, _, _ = write_idx_pair(tmp_path, count=10)
+        pairs = load_mnist_idx(img_path, lab_path, 10)
+        assert [t.shape.dims for t, _ in pairs] == [(1, 28, 28)] * 10
+        with pytest.raises(IdxFormatError, match="file has 10"):
+            load_mnist_idx(img_path, lab_path, 11)
 
     def test_load_normalizes(self, tmp_path):
         img_path, lab_path, pixels, labels = write_idx_pair(tmp_path)

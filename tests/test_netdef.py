@@ -14,7 +14,10 @@ from kernelpipe.netdef import (
     relu,
     stage_io_shapes,
 )
+from kernelpipe.ocl import NdRange
+from kernelpipe.pipeline import stage_ndranges
 from kernelpipe.tensors import Shape
+from kernelpipe.weights import WEIGHT_SHAPES
 
 
 class TestLenet5Spec:
@@ -44,6 +47,23 @@ class TestLenet5Spec:
         assert io["ip1_relu"][0].element_count == 800
         assert io["ip1_relu"][1].dims == (500,)
         assert io["ip2"][0].dims == (500,)
+
+    def test_weight_shapes_from_spec(self):
+        # key order is the order weight files are written in
+        expected = {"conv1_w": (20, 1, 5, 5), "conv1_b": (20,),
+                    "conv2_w": (50, 20, 5, 5), "conv2_b": (50,),
+                    "ip1_w": (500, 800), "ip1_b": (500,),
+                    "ip2_w": (10, 500), "ip2_b": (10,)}
+        assert list(WEIGHT_SHAPES.items()) == list(expected.items())
+
+    def test_stage_ndranges_from_spec(self):
+        expected = {"conv_pool1": NdRange((12, 12, 20), (4, 4, 1)),
+                    "conv2": NdRange((8, 8, 50), (4, 4, 1)),
+                    "pool2": NdRange((4, 4, 50), (4, 4, 1)),
+                    "ip1_relu": NdRange((500,), (20,)),
+                    "ip2": NdRange((10,), (10,))}
+        for pool_op in (MAX_POOL, AVG_POOL):
+            assert stage_ndranges(lenet5_spec(pool_op)) == expected
 
     def test_pool_op_flag(self):
         assert lenet5_spec().layers[1].pool_op == MAX_POOL

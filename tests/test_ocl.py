@@ -185,14 +185,6 @@ class TestQueueOrdering:
         with pytest.raises(QueueError, match="empty"):
             CommandQueue().run()
 
-    def test_lane_budget_enforced(self):
-        out = Buffer("out", 4)
-        kernel = KernelDef("k", lambda ctx: None, bindings={"out": out},
-                           mode=ParallelMode("simd", 32, cu_count=4))
-        q = CommandQueue(lane_budget=64)
-        with pytest.raises(QueueError, match="budget"):
-            q.enqueue_kernel(kernel, NdRange((2,), (2,)))
-
     def test_marker_fires_in_order(self):
         out = Buffer("out", 4)
         q = CommandQueue()
@@ -321,7 +313,7 @@ class TestRegionAccess:
                                                        item_id=ctx.global_id))
             handle.read(0)
 
-        q = CommandQueue(debug=True)
+        q = CommandQueue()
         q.enqueue_kernel(KernelDef("bad", body, bindings={"out": out}),
                          NdRange((4,), (2,)))
         with pytest.raises(RegionAccessViolation):

@@ -8,15 +8,16 @@ from kernelpipe.tensors import (
     QFormat,
     Shape,
     Tensor,
+    accumulator_limit,
+    check_accumulation_bound,
     dequantize,
     dequantize_array,
     div_round_even,
-    mac_fixed,
-    narrow_accumulator,
     quantize,
     quantize_array,
     rshift_round_even,
     rshift_round_even_array,
+    saturate,
 )
 
 Q = QFormat(16, 8)
@@ -108,26 +109,21 @@ def test_quantize_monotone(a, b):
     assert quantize(lo, Q) <= quantize(hi, Q)
 
 
-class TestMacFixed:
-    def test_unit_product(self):
-        assert mac_fixed(0, 256, 256, Q) == 65536
-
-    def test_zero_annihilator(self):
-        assert mac_fixed(0, 0, 12345, Q) == 0
-
+class TestAccumulation:
     def test_25_tap_sum_narrows_exactly(self):
         # brute-force accumulation: 25 products of 1.0 x 1.0 then one narrowing
         acc = 0
         one = quantize(1.0, Q)
         for _ in range(25):
-            acc = mac_fixed(acc, one, one, Q)
-        raw = narrow_accumulator(acc, Q)
+            acc += one * one
+        raw = saturate(rshift_round_even(acc, Q.frac_bits), Q)
         assert dequantize(raw, Q) == 25.0
 
     def test_overflow_is_hard_error(self):
-        limit = 1 << (Q.accumulator_bits - 1)
+        limit = accumulator_limit(Q)
+        check_accumulation_bound(1, limit - 1, 1, 0, Q)  # just inside: no error
         with pytest.raises(FixedPointOverflowError):
-            mac_fixed(limit - 1, 32767, 32767, Q)
+            check_accumulation_bound(1, limit, 1, 0, Q)
 
 
 class TestRounding:
