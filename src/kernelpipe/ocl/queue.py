@@ -15,6 +15,7 @@ consumes).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,14 +34,23 @@ class QueueDeadlockError(QueueError):
 
 
 class Event:
+    """Completion event of one command.  It refers to its queue weakly: the
+    queue holds its events, and a cycle would keep every buffer of a finished
+    run alive until the cyclic GC runs."""
+
     _next_id = 0
 
     def __init__(self, queue: "CommandQueue"):
-        self.queue = queue
+        self._queue = weakref.ref(queue)
         self.id = Event._next_id
         Event._next_id += 1
         self.command_index: int | None = None  # position of the attached command
         self.fired = False
+
+    @property
+    def queue(self) -> "CommandQueue | None":
+        """The owning queue, or None once it has been freed."""
+        return self._queue()
 
     def __repr__(self):
         return f"Event(id={self.id}, command={self.command_index}, fired={self.fired})"

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .netdef import NetworkSpec, infer_shapes, stage_io_shapes
+from .netdef import NetworkSpec, infer_shapes, stage_io_shapes, weight_shapes
 from .ocl import ParallelMode
 from .tensors import QFormat
 
@@ -150,23 +150,19 @@ def kernel_footprint(spec: NetworkSpec, stage: str, q: QFormat) -> KernelFootpri
     if stage not in io:
         raise KeyError(f"unknown stage {stage!r}")
     in_shape, out_shape = io[stage]
-    per_layer = infer_shapes(spec)
+    _, start, end = next(g for g in spec.stage_grouping if g[0] == stage)
 
+    # one (weights, bias) shape pair per parameterized layer, in layer order;
+    # each output element is one dot product over a weight row
+    blocks = iter(weight_shapes(spec).values())
     macs = 0
     weight_elems = 0
-    current = in_shape
-    start = next(s for n, s, _ in spec.stage_grouping if n == stage)
-    for offset, layer in enumerate(spec.stage_layers(stage)):
-        out = per_layer[start + offset]
-        if layer.kind == "conv":
-            in_ch = current.dims[0]
-            taps = in_ch * layer.kernel * layer.kernel
-            macs += out.element_count * taps
-            weight_elems += layer.out_maps * taps + layer.out_maps
-        elif layer.kind == "fully_connected":
-            macs += layer.out_neurons * current.element_count
-            weight_elems += layer.out_neurons * current.element_count + layer.out_neurons
-        current = out
+    for index, (layer, out) in enumerate(zip(spec.layers, infer_shapes(spec))):
+        if layer.kind in ("conv", "fully_connected"):
+            w, b = next(blocks), next(blocks)
+            if start <= index < end:
+                macs += out.element_count * math.prod(w[1:])
+                weight_elems += math.prod(w) + math.prod(b)
 
     width = q.element_bytes
     return KernelFootprint(

@@ -3,16 +3,18 @@
 Stage I/O always round-trips through global memory: the host transfers the
 image and all weights in, each kernel reads global memory, computes, and
 writes its outputs back, and consecutive stages are chained in-order through
-completion events.  Fixed-point arithmetic matches
-:mod:`kernelpipe.reference` bit for bit: exact integer accumulation, bias
-aligned by a left shift, one round-to-nearest-even narrowing per output
-element, saturation instead of wraparound.
+completion events.  The engine runs fixed-point weight stores only; float64
+results come from :func:`kernelpipe.reference.forward_float`.  Its arithmetic
+matches :func:`kernelpipe.reference.forward_quantized` bit for bit: exact
+integer accumulation, bias aligned by a left shift, one round-to-nearest-even
+narrowing per output element, saturation instead of wraparound.
 
-Launch geometry: one work-item per output element.  Each stage's global
-size is its output extents from :func:`kernelpipe.netdef.lenet5_spec`, last
-axis first.  Only the work-group sizes in :data:`STAGE_LOCAL_SIZES` are
-tuning data: each divides its global size, and nothing in the math depends
-on them.
+Geometry comes from :func:`kernelpipe.netdef.lenet5_spec`: each kernel takes
+its conv kernel edge and pool window, stride and op from its stage's layers.
+Launch geometry: one work-item per output element; each stage's global size
+is its output extents, last axis first.  Only the work-group sizes in
+:data:`STAGE_LOCAL_SIZES` are tuning data: each divides its global size, and
+nothing in the math depends on them.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netdef import MAX_POOL, STAGE_NAMES, NetworkSpec, lenet5_spec, stage_io_shapes
+from .netdef import MAX_POOL, STAGE_NAMES, LayerSpec, NetworkSpec, lenet5_spec, stage_io_shapes
 from .ocl import Buffer, CommandQueue, KernelDef, NdRange, ParallelMode
 from .reference import winner_digit
 from .tensors import (
@@ -71,8 +73,8 @@ class StageResult:
 
 @dataclass(frozen=True)
 class ForwardResult:
-    logits: np.ndarray        # float64 (dequantized when fixed)
-    raw_logits: np.ndarray    # int64 raws, or float64 when running float
+    logits: np.ndarray        # float64, dequantized from raw_logits
+    raw_logits: np.ndarray    # int64 raws
     winner: int
     stages: tuple[StageResult, ...]
 
@@ -83,7 +85,7 @@ class ForwardResult:
         raise KeyError(name)
 
 
-def _overflow_check(q: QFormat | None, w: np.ndarray, b: np.ndarray):
+def _overflow_check(q: QFormat, w: np.ndarray, b: np.ndarray):
     """Per-work-item accumulator-overflow check for a stage whose dot
     products each run over one row of ``w`` (``w[0].size`` taps).
 
@@ -92,8 +94,6 @@ def _overflow_check(q: QFormat | None, w: np.ndarray, b: np.ndarray):
     :class:`~kernelpipe.tensors.FixedPointOverflowError` when the input
     values a work-item read could overflow its accumulator.
     """
-    if q is None:
-        return None
     taps = w[0].size
     wmax = int(np.abs(w).max(initial=0))
     bmax = int(np.abs(b).max(initial=0))
@@ -103,110 +103,121 @@ def _overflow_check(q: QFormat | None, w: np.ndarray, b: np.ndarray):
                                               wmax, bmax, q)
 
 
-def _make_conv_pool1(q: QFormat | None, pool_op: str, check):
-    frac = q.frac_bits if q else 0
+def _pool_step(pool: LayerSpec, q: QFormat):
+    """Reduce one pooling window's values: their max, or their
+    round-to-nearest-even average saturated to ``q``."""
+    if pool.pool_op == MAX_POOL:
+        return max
+    area = pool.window * pool.window
+    return lambda vals: saturate(div_round_even(sum(vals), area), q)
+
+
+def _make_conv_pool1(layers, q: QFormat, check):
+    """Stride-1 valid convolution fused with pooling: each work-item reads
+    the input tile under one pooling window and narrows each conv output
+    before pooling it."""
+    conv, pool = layers
+    k = conv.kernel
+    stride, edge = pool.stride, pool.window - 1 + k
+    offsets = [(dy, dx) for dy in range(pool.window) for dx in range(pool.window)]
+    reduce = _pool_step(pool, q)
+    frac = q.frac_bits
 
     def body(ctx):
         ox, oy, m = ctx.global_id
-        tile = ctx.regions["src"].read((0, slice(2 * oy, 2 * oy + 6),
-                                        slice(2 * ox, 2 * ox + 6)))
+        tile = ctx.regions["src"].read((0, slice(stride * oy, stride * oy + edge),
+                                        slice(stride * ox, stride * ox + edge)))
         w = ctx.regions["wts"].read((m, 0))
         b = ctx.regions["bias"].read(m)
+        if check:
+            check(tile)
+        bias = int(b) << frac
         vals = []
-        if q is None:
-            for dy in (0, 1):
-                for dx in (0, 1):
-                    vals.append(float((tile[dy:dy + 5, dx:dx + 5] * w).sum()) + b)
-            out = max(vals) if pool_op == MAX_POOL else sum(vals) / 4.0
-        else:
-            if check:
-                check(tile)
-            bias = int(b) << frac
-            for dy in (0, 1):
-                for dx in (0, 1):
-                    acc = int((tile[dy:dy + 5, dx:dx + 5] * w).sum()) + bias
-                    vals.append(saturate(rshift_round_even(acc, frac), q))
-            if pool_op == MAX_POOL:
-                out = max(vals)
-            else:
-                out = saturate(div_round_even(sum(vals), 4), q)
-        ctx.regions["dst"].write((m, oy, ox), out)
+        for dy, dx in offsets:
+            acc = int((tile[dy:dy + k, dx:dx + k] * w).sum()) + bias
+            vals.append(saturate(rshift_round_even(acc, frac), q))
+        ctx.regions["dst"].write((m, oy, ox), reduce(vals))
         ctx.count_macs(len(vals) * w.size)
 
     return body
 
 
-def _make_conv2(q: QFormat | None, check):
-    frac = q.frac_bits if q else 0
+def _make_conv2(layers, q: QFormat, check):
+    (conv,) = layers
+    k, frac = conv.kernel, q.frac_bits
 
     def body(ctx):
         ox, oy, f = ctx.global_id
-        window = ctx.regions["src"].read((slice(None), slice(oy, oy + 5),
-                                          slice(ox, ox + 5)))
+        window = ctx.regions["src"].read((slice(None), slice(oy, oy + k),
+                                          slice(ox, ox + k)))
         w = ctx.regions["wts"].read(f)
         b = ctx.regions["bias"].read(f)
-        if q is None:
-            out = float((window * w).sum()) + b
-        else:
-            if check:
-                check(window)
-            acc = int((window * w).sum()) + (int(b) << frac)
-            out = saturate(rshift_round_even(acc, frac), q)
-        ctx.regions["dst"].write((f, oy, ox), out)
+        if check:
+            check(window)
+        acc = int((window * w).sum()) + (int(b) << frac)
+        ctx.regions["dst"].write((f, oy, ox), saturate(rshift_round_even(acc, frac), q))
         ctx.count_macs(w.size)
 
     return body
 
 
-def _make_pool2(q: QFormat | None, pool_op: str):
+def _make_pool2(layers, q: QFormat, check):
+    (pool,) = layers
+    stride, size = pool.stride, pool.window
+    reduce = _pool_step(pool, q)
+
     def body(ctx):
         ox, oy, c = ctx.global_id
-        block = ctx.regions["src"].read((c, slice(2 * oy, 2 * oy + 2),
-                                         slice(2 * ox, 2 * ox + 2)))
-        if pool_op == MAX_POOL:
-            out = block.max()
-        elif q is None:
-            out = float(block.sum()) / 4.0
-        else:
-            out = saturate(div_round_even(int(block.sum()), 4), q)
-        ctx.regions["dst"].write((c, oy, ox), out)
+        block = ctx.regions["src"].read((c, slice(stride * oy, stride * oy + size),
+                                         slice(stride * ox, stride * ox + size)))
+        ctx.regions["dst"].write((c, oy, ox), reduce(block.ravel().tolist()))
 
     return body
 
 
-def _make_fc(q: QFormat | None, relu: bool, check):
-    frac = q.frac_bits if q else 0
+def _make_fc(layers, q: QFormat, check):
+    relu = layers[-1].kind == "relu"
+    frac = q.frac_bits
 
     def body(ctx):
         (n,) = ctx.global_id
         x = ctx.regions["src"].read(Ellipsis).ravel()
         w = ctx.regions["wts"].read(n)
         b = ctx.regions["bias"].read(n)
-        if q is None:
-            out = float(np.dot(w, x)) + b
-            if relu:
-                out = max(0.0, out)
-        else:
-            if check:
-                check(x)
-            acc = int(np.dot(w, x)) + (int(b) << frac)
-            out = saturate(rshift_round_even(acc, frac), q)
-            if relu and out < 0:
-                out = 0
+        if check:
+            check(x)
+        acc = int(np.dot(w, x)) + (int(b) << frac)
+        out = saturate(rshift_round_even(acc, frac), q)
+        if relu and out < 0:
+            out = 0
         ctx.regions["dst"].write(n, out)
         ctx.count_macs(w.size)
 
     return body
 
 
+#: Per stage: kernel factory ``(stage layers, format, overflow check) -> body``
+#: and the weight block the kernel reads (None: no weights, no check).
+_STAGE_KERNELS = {
+    "conv_pool1": (_make_conv_pool1, "conv1"),
+    "conv2": (_make_conv2, "conv2"),
+    "pool2": (_make_pool2, None),
+    "ip1_relu": (_make_fc, "ip1"),
+    "ip2": (_make_fc, "ip2"),
+}
+
+
 def forward(image: np.ndarray, store: WeightStore, mode: ParallelMode | None = None,
             pool_op: str = MAX_POOL) -> ForwardResult:
     """Run the five-stage pipeline on one image of the network's input shape.
 
-    A fixed-point store runs the quantized engine; a float64 store runs the
-    same kernels in float64.  ``mode`` widens the datapath / replicates CUs;
-    it never changes the computed values.
+    ``store`` must be fixed-point; float64 results come from
+    :func:`kernelpipe.reference.forward_float`.  ``mode`` widens the
+    datapath / replicates CUs; it never changes the computed values.
     """
+    q = store.qformat
+    if q is None:
+        raise ValueError("the engine runs fixed-point only: quantize the weight store first")
     spec = lenet5_spec(pool_op)
     io = stage_io_shapes(spec)
     mode = mode or ParallelMode()
@@ -215,16 +226,8 @@ def forward(image: np.ndarray, store: WeightStore, mode: ParallelMode | None = N
     if image.shape != in_shape:
         raise ValueError(f"image must have shape {in_shape}, got {image.shape}")
 
-    q = store.qformat
-    if q is None:
-        dtype, ebytes = np.float64, 8
-        image_dev = image
-    else:
-        dtype, ebytes = np.int64, q.element_bytes
-        image_dev = quantize_array(image, q)
-
     def buf(name, shape):
-        return Buffer(name, shape, dtype=dtype, element_bytes=ebytes)
+        return Buffer(name, shape, dtype=np.int64, element_bytes=q.element_bytes)
 
     bufs = {"input": buf("input", in_shape)}
     for name, (_, out_shape) in io.items():
@@ -232,32 +235,22 @@ def forward(image: np.ndarray, store: WeightStore, mode: ParallelMode | None = N
     for wname, arr in store.arrays().items():
         bufs[wname] = buf(wname, arr.shape)
 
-    kernels = [
-        KernelDef("conv_pool1",
-                  _make_conv_pool1(q, pool_op, _overflow_check(q, store.conv1_w, store.conv1_b)),
-                  mode=mode, bindings={
-            "src": bufs["input"], "wts": bufs["conv1_w"], "bias": bufs["conv1_b"],
-            "dst": bufs["out_conv_pool1"]}),
-        KernelDef("conv2", _make_conv2(q, _overflow_check(q, store.conv2_w, store.conv2_b)),
-                  mode=mode, bindings={
-            "src": bufs["out_conv_pool1"], "wts": bufs["conv2_w"],
-            "bias": bufs["conv2_b"], "dst": bufs["out_conv2"]}),
-        KernelDef("pool2", _make_pool2(q, pool_op), mode=mode, bindings={
-            "src": bufs["out_conv2"], "dst": bufs["out_pool2"]}),
-        KernelDef("ip1_relu",
-                  _make_fc(q, relu=True, check=_overflow_check(q, store.ip1_w, store.ip1_b)),
-                  mode=mode, bindings={
-            "src": bufs["out_pool2"], "wts": bufs["ip1_w"], "bias": bufs["ip1_b"],
-            "dst": bufs["out_ip1_relu"]}),
-        KernelDef("ip2",
-                  _make_fc(q, relu=False, check=_overflow_check(q, store.ip2_w, store.ip2_b)),
-                  mode=mode, bindings={
-            "src": bufs["out_ip1_relu"], "wts": bufs["ip2_w"], "bias": bufs["ip2_b"],
-            "dst": bufs["out_ip2"]}),
-    ]
+    kernels = []
+    src = bufs["input"]
+    for name in STAGE_NAMES:
+        make, block = _STAGE_KERNELS[name]
+        bindings = {"src": src, "dst": bufs[f"out_{name}"]}
+        check = None
+        if block:
+            bindings.update(wts=bufs[f"{block}_w"], bias=bufs[f"{block}_b"])
+            check = _overflow_check(q, getattr(store, f"{block}_w"),
+                                    getattr(store, f"{block}_b"))
+        body = make(spec.stage_layers(name), q, check)
+        kernels.append(KernelDef(name, body, mode=mode, bindings=bindings))
+        src = bindings["dst"]
 
     queue = CommandQueue()
-    write_events = [queue.enqueue_write(bufs["input"], image_dev)]
+    write_events = [queue.enqueue_write(bufs["input"], quantize_array(image, q))]
     for wname, arr in store.arrays().items():
         write_events.append(queue.enqueue_write(bufs[wname], arr))
 
@@ -283,9 +276,8 @@ def forward(image: np.ndarray, store: WeightStore, mode: ParallelMode | None = N
         ))
 
     raw_logits = np.array(bufs["out_ip2"].array)
-    logits = dequantize_array(raw_logits, q) if q else np.array(raw_logits)
     return ForwardResult(
-        logits=logits,
+        logits=dequantize_array(raw_logits, q),
         raw_logits=raw_logits,
         winner=winner_digit(raw_logits),
         stages=tuple(stages),

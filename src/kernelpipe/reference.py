@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .netdef import MAX_POOL, STAGE_NAMES
+from .netdef import MAX_POOL, STAGE_NAMES, lenet5_spec
 from .tensors import (
     QFormat,
     check_accumulation_bound,
@@ -27,6 +27,13 @@ from .tensors import (
     quantize_array,
 )
 from .weights import WeightStore
+
+
+def _input_and_pools(pool_op: str):
+    """The network's input shape and its two pool layers, from the spec."""
+    spec = lenet5_spec(pool_op)
+    pool1, pool2 = (layer for layer in spec.layers if layer.kind == "pool")
+    return spec.input_shape.dims, pool1, pool2
 
 
 def _check_layer(x: np.ndarray, taps: int, w: np.ndarray, b: np.ndarray, q: QFormat):
@@ -67,10 +74,12 @@ def forward_float(image: np.ndarray, store: WeightStore,
     """Float64 forward pass; returns (logits, per-stage outputs)."""
     if store.is_fixed:
         store = store.to_float()
-    image = np.asarray(image, dtype=np.float64).reshape(1, 28, 28)
-    out1 = pool_2d(conv_valid(image, store.conv1_w, store.conv1_b), 2, 2, pool_op)
+    in_shape, pool1, pool2 = _input_and_pools(pool_op)
+    image = np.asarray(image, dtype=np.float64).reshape(in_shape)
+    out1 = pool_2d(conv_valid(image, store.conv1_w, store.conv1_b),
+                   pool1.window, pool1.stride, pool_op)
     out2 = conv_valid(out1, store.conv2_w, store.conv2_b)
-    out3 = pool_2d(out2, 2, 2, pool_op)
+    out3 = pool_2d(out2, pool2.window, pool2.stride, pool_op)
     out4 = np.maximum(0.0, store.ip1_w @ out3.ravel() + store.ip1_b)
     logits = store.ip2_w @ out4 + store.ip2_b
     stages = dict(zip(STAGE_NAMES, (out1, out2, out3, out4, logits)))
@@ -125,11 +134,12 @@ def forward_quantized(image: np.ndarray, store: WeightStore, q: QFormat | None =
         if q is None:
             raise ValueError("a QFormat is required for a float store")
         store = store.quantize(q)
-    image_raw = quantize_array(np.asarray(image).reshape(1, 28, 28), q)
+    in_shape, pool1, pool2 = _input_and_pools(pool_op)
+    image_raw = quantize_array(np.asarray(image).reshape(in_shape), q)
     conv1 = _conv_fixed(image_raw, store.conv1_w, store.conv1_b, q)
-    out1 = _pool_fixed(conv1, 2, 2, pool_op, q)
+    out1 = _pool_fixed(conv1, pool1.window, pool1.stride, pool_op, q)
     out2 = _conv_fixed(out1, store.conv2_w, store.conv2_b, q)
-    out3 = _pool_fixed(out2, 2, 2, pool_op, q)
+    out3 = _pool_fixed(out2, pool2.window, pool2.stride, pool_op, q)
     out4 = np.maximum(0, _fc_fixed(out3.ravel(), store.ip1_w, store.ip1_b, q))
     logits = _fc_fixed(out4, store.ip2_w, store.ip2_b, q)
     stages = dict(zip(STAGE_NAMES, (out1, out2, out3, out4, logits)))

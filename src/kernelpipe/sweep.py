@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pipeline, reference
-from .netdef import MAX_POOL
+from .netdef import MAX_POOL, lenet5_spec
 from .tensors import QFormat, Tensor
 from .weights import WeightStore
 
@@ -55,9 +55,10 @@ def sweep_precision(store: WeightStore, images, formats: list[QFormat],
     from the float64 reference.
 
     ``store`` must be float64 (it is quantized per format here); ``images``
-    is a sequence of 1x28x28 arrays.
+    is a sequence of arrays of the network's input shape.
     """
-    images = [np.asarray(img, dtype=np.float64).reshape(1, 28, 28) for img in images]
+    in_shape = lenet5_spec(pool_op).input_shape.dims
+    images = [np.asarray(img, dtype=np.float64).reshape(in_shape) for img in images]
     if not images:
         raise ValueError("at least one image is required")
     if not formats:
@@ -70,13 +71,12 @@ def sweep_precision(store: WeightStore, images, formats: list[QFormat],
     results = []
     for q in formats:
         fixed_store = store.quantize(q)
-        errors = np.zeros((len(images), 10))
+        errors = np.zeros((len(images), float_logits[0].size))
         agreements = 0
         for i, img in enumerate(images):
             result = pipeline.forward(img, fixed_store, pool_op=pool_op)
-            max_err, agree = divergence(result.stage("ip2").output, float_logits[i])
             errors[i] = np.abs(result.logits - float_logits[i])
-            agreements += agree
+            agreements += result.winner == reference.winner_digit(float_logits[i])
         results.append(SweepResult(
             qformat=q,
             max_abs_logit_error=float(errors.max()),

@@ -107,24 +107,9 @@ class QFormat:
 DEFAULT_QFORMAT = QFormat(16, 8)
 
 
-def quantize(x: float, q: QFormat) -> int:
-    """Round-to-nearest-even of x * 2**frac_bits, saturated to the raw range."""
-    if np.isnan(x):
-        raise ValueError("cannot quantize NaN")
-    if np.isinf(x):
-        return q.raw_max if x > 0 else q.raw_min
-    return saturate(int(np.rint(float(x) * q.scale)), q)
-
-
-def dequantize(raw: int, q: QFormat) -> float:
-    """Exact raw / 2**frac_bits (power-of-two division is lossless in float64)."""
-    if not q.raw_min <= raw <= q.raw_max:
-        raise ValueError(f"raw value {raw} outside {q} range")
-    return float(raw) / q.scale
-
-
 def quantize_array(x: np.ndarray, q: QFormat) -> np.ndarray:
-    """Vectorized quantize; returns int64 raws."""
+    """Round-to-nearest-even of x * 2**frac_bits, saturated to the raw
+    range; returns int64 raws."""
     x = np.asarray(x, dtype=np.float64)
     if np.isnan(x).any():
         raise ValueError("cannot quantize NaN")
@@ -133,6 +118,7 @@ def quantize_array(x: np.ndarray, q: QFormat) -> np.ndarray:
 
 
 def dequantize_array(raw: np.ndarray, q: QFormat) -> np.ndarray:
+    """Exact raw / 2**frac_bits (power-of-two division is lossless in float64)."""
     return np.asarray(raw, dtype=np.float64) / q.scale
 
 

@@ -6,7 +6,7 @@ from kernelpipe import fixtures, pipeline, reference
 from kernelpipe.netdef import AVG_POOL, MAX_POOL, infer_shapes, lenet5_spec
 from kernelpipe.ocl import ParallelMode
 from kernelpipe.perf import kernel_footprint
-from kernelpipe.tensors import FixedPointOverflowError, QFormat
+from kernelpipe.tensors import FixedPointOverflowError, QFormat, quantize_array
 from kernelpipe.weights import WEIGHT_SHAPES, WeightStore, zero_weights
 
 Q = QFormat(16, 8)
@@ -29,45 +29,47 @@ class TestStageExamples:
         assert result.winner == 0  # all-equal logits: lowest index wins
 
     def test_conv_pool1_delta_filter_is_max_downsample(self, image42):
-        # filter 0 is a centered delta: conv output copies the input's
-        # central 24x24 window, so pooling is a plain 2x2 max-downsample
+        # filter 0 is a centered delta, exact at Q16.8: conv output copies the
+        # input's central 24x24 raws, so pooling is a plain 2x2 max-downsample
         w = np.zeros((20, 1, 5, 5))
         w[0, 0, 2, 2] = 1.0
-        store = store_with(conv1_w=w)
-        result = pipeline.forward(image42, store)  # float64 engine
+        store = store_with(conv1_w=w).quantize(Q)
+        result = pipeline.forward(image42, store)
 
-        expected = np.zeros((12, 12))
+        raw = quantize_array(image42, Q)
+        expected = np.zeros((12, 12), dtype=np.int64)
         for oy in range(12):
             for ox in range(12):
-                window = [image42[0, 2 * oy + dy + 2, 2 * ox + dx + 2]
+                window = [raw[0, 2 * oy + dy + 2, 2 * ox + dx + 2]
                           for dy in (0, 1) for dx in (0, 1)]
                 expected[oy, ox] = max(window)
         out = result.stage("conv_pool1").output.values
         assert np.array_equal(out[0], expected)
         assert not out[1:].any()
 
-        _, stages = reference.forward_float(image42, store)
+        _, stages = reference.forward_quantized(image42, store)
         assert np.array_equal(stages["conv_pool1"], out)
 
     def test_conv2_mean_filter_gives_ones(self):
         # bias-only conv1 makes the conv2 input all ones; with every conv2
-        # weight 1/(20*25) each output is the mean, exactly 1.0
+        # weight 2**-9 (exact at Q32.16) each output sums 500 taps to 500/512
+        q = QFormat(32, 16)
         store = store_with(conv1_b=np.ones(20),
-                           conv2_w=np.full((50, 20, 5, 5), 1.0 / 500))
+                           conv2_w=np.full((50, 20, 5, 5), 2.0 ** -9)).quantize(q)
         image = np.zeros((1, 28, 28))
         result = pipeline.forward(image, store)
-        assert np.all(result.stage("conv_pool1").output.values == 1.0)
+        assert np.all(result.stage("conv_pool1").output.to_float() == 1.0)
         out = result.stage("conv2").output.values
-        assert np.allclose(out, 1.0, atol=1e-12)
-        _, stages = reference.forward_float(image, store)
-        np.testing.assert_allclose(stages["conv2"], out, rtol=0, atol=1e-12)
+        assert np.all(out == 500 * q.scale // 512)
+        _, stages = reference.forward_quantized(image, store)
+        assert np.array_equal(stages["conv2"], out)
 
     def test_pool2_constant_input(self):
         # constant maps pool to the same constant under both operators
-        for pool_op in ("max", AVG_POOL):
-            store = store_with(conv2_b=np.full(50, 3.25))
+        for pool_op in (MAX_POOL, AVG_POOL):
+            store = store_with(conv2_b=np.full(50, 3.25)).quantize(Q)
             result = pipeline.forward(np.zeros((1, 28, 28)), store, pool_op=pool_op)
-            assert np.all(result.stage("pool2").output.values == 3.25)
+            assert np.all(result.stage("pool2").output.values == 3.25 * Q.scale)
 
     def test_pool_window_definition(self):
         # one window holding {1,2,3,4}: max pools to 4, average to 2.5
@@ -86,14 +88,11 @@ class TestStageExamples:
         assert np.all(result.stage("ip1_relu").output.to_float() == 2.0)
 
     def test_ip2_bias_digits(self, image42):
-        bias = np.arange(10) / 10.0
-        result = pipeline.forward(image42, store_with(ip2_b=bias))
+        bias = np.arange(10) / 8.0  # exact at Q16.8
+        result = pipeline.forward(image42, store_with(ip2_b=bias).quantize(Q))
+        assert np.array_equal(result.raw_logits, np.arange(10) * Q.scale // 8)
         assert np.array_equal(result.logits, bias)
         assert result.winner == 9
-
-    def test_winner_tie_break_lowest_index(self, image42):
-        result = pipeline.forward(image42, zero_weights())
-        assert result.winner == 0
 
 
 class TestBitExactness:
@@ -116,16 +115,6 @@ class TestBitExactness:
         via_fixed, _ = reference.forward_quantized(image, fixed42)
         via_float, _ = reference.forward_quantized(image, store42, Q)
         assert np.array_equal(via_fixed, via_float)
-
-    def test_float_engine_matches_float_reference(self, store42, images42):
-        image = images42[2]
-        for pool_op in (MAX_POOL, AVG_POOL):
-            result = pipeline.forward(image, store42, pool_op=pool_op)
-            logits, stages = reference.forward_float(image, store42, pool_op)
-            np.testing.assert_allclose(result.logits, logits, rtol=1e-12, atol=1e-12)
-            for stage in result.stages:
-                np.testing.assert_allclose(stage.output.values, stages[stage.name],
-                                           rtol=1e-12, atol=1e-12)
 
 
 class TestModeInvariance:
@@ -207,6 +196,10 @@ class TestReferenceProperties:
     def test_image_shape_validated(self, fixed42):
         with pytest.raises(ValueError, match="28"):
             pipeline.forward(np.zeros((1, 27, 28)), fixed42)
+
+    def test_float_store_rejected(self, store42, image42):
+        with pytest.raises(ValueError, match="quantize the weight store"):
+            pipeline.forward(image42, store42)
 
     def test_winner_sequence_matches_reference(self, store42, fixed42, images42):
         for image in images42:

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -194,6 +197,24 @@ class TestQueueOrdering:
         records = q.run()
         assert records[-1].kind == "marker"
         assert ev.fired
+
+    def test_ran_queue_freed_by_refcount(self):
+        # events refer to their queue weakly, so a queue that has run is
+        # freed when its last reference goes, without the cyclic GC
+        gc.disable()
+        try:
+            out = Buffer("out", 4)
+            q = CommandQueue()
+            ev = q.enqueue_write(out, np.ones(4))
+            q.enqueue_kernel(KernelDef("k", lambda ctx: None, bindings={"out": out}),
+                             NdRange((2,), (2,)), waits=[ev])
+            q.run()
+            ref = weakref.ref(q)
+            del q
+            assert ref() is None
+            assert ev.queue is None
+        finally:
+            gc.enable()
 
 
 class TestBarriers:
