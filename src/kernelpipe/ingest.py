@@ -10,14 +10,16 @@ and what was expected there.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
+from .netdef import lenet5_spec
 from .perf import MODE_ORDER, AccelRecord, BenchRecord
 from .sweep import SweepResult
-from .tensors import QFormat, Shape, Tensor
+from .tensors import QFormat, Tensor
 from .weights import WEIGHT_SHAPES, WeightStore
 
 IDX_IMAGE_MAGIC = 2051
@@ -26,6 +28,9 @@ IDX_LABEL_MAGIC = 2049
 BENCH_CSV_HEADER = ["kernel", "platform", "mode", "time_ms", "logic_k", "dsp", "bram_kb"]
 ACCEL_CSV_HEADER = ["kernel", "mode", "ratio", "percent"]
 SWEEP_CSV_HEADER = ["total_bits", "frac_bits", "max_err", "mean_err", "agreement", "n"]
+
+#: The network's input (channels, height, width): the shape of every image.
+INPUT_SHAPE = lenet5_spec().input_shape
 
 
 class WeightFormatError(ValueError):
@@ -37,6 +42,18 @@ class WeightFormatError(ValueError):
 
 class IdxFormatError(ValueError):
     pass
+
+
+def _parse_float(tok: str, path, lineno: int) -> float:
+    """One finite decimal float token; anything else names the file and line."""
+    try:
+        value = float(tok)
+    except ValueError:
+        raise WeightFormatError(path, lineno,
+                                f"expected a decimal float, got {tok!r}") from None
+    if not math.isfinite(value):
+        raise WeightFormatError(path, lineno, f"expected a finite decimal float, got {tok!r}")
+    return value
 
 
 # -- text weight files ---------------------------------------------------------
@@ -96,11 +113,7 @@ def load_weights_text(path) -> WeightStore:
                 if filled >= count:
                     raise WeightFormatError(path, lineno + 1,
                                             f"block {name!r} has more than {count} values")
-                try:
-                    values[filled] = float(tok)
-                except ValueError:
-                    raise WeightFormatError(path, lineno + 1,
-                                            f"expected a decimal float, got {tok!r}") from None
+                values[filled] = _parse_float(tok, path, lineno + 1)
                 filled += 1
             lineno += 1
         blocks[name] = values.reshape(expected)
@@ -128,33 +141,31 @@ def write_weights_text(store: WeightStore, path):
 
 
 def load_image_text(path) -> Tensor:
-    """One 28x28 image as 784 whitespace-separated floats, already
-    normalized to [0, 1]."""
+    """One image of :data:`INPUT_SHAPE` as whitespace-separated floats
+    (784 for the 28x28 input), already normalized to [0, 1]."""
     path = Path(path)
     values = []
     with open(path, "r", encoding="ascii") as f:
         for lineno, line in enumerate(f, start=1):
-            for tok in line.split():
-                try:
-                    values.append(float(tok))
-                except ValueError:
-                    raise WeightFormatError(path, lineno,
-                                            f"expected a decimal float, got {tok!r}") from None
-    if len(values) != 784:
-        raise WeightFormatError(path, 0, f"expected 784 pixels, got {len(values)}")
-    arr = np.array(values).reshape(1, 28, 28)
+            values.extend(_parse_float(tok, path, lineno) for tok in line.split())
+    pixels = INPUT_SHAPE.element_count
+    if len(values) != pixels:
+        raise WeightFormatError(path, 0, f"expected {pixels} pixels, got {len(values)}")
+    arr = np.array(values).reshape(INPUT_SHAPE.dims)
     if arr.min() < 0.0 or arr.max() > 1.0:
         raise WeightFormatError(path, 0, "pixel values must lie in [0, 1]")
-    return Tensor(Shape(1, 28, 28), arr)
+    return Tensor(INPUT_SHAPE, arr)
 
 
 def write_image_text(image: np.ndarray, path):
+    """One image per file, one pixel row per line."""
     flat = np.asarray(image, dtype=np.float64).ravel()
-    if flat.size != 784:
-        raise ValueError(f"image must have 784 pixels, got {flat.size}")
+    pixels, width = INPUT_SHAPE.element_count, INPUT_SHAPE.dims[-1]
+    if flat.size != pixels:
+        raise ValueError(f"image must have {pixels} pixels, got {flat.size}")
     with open(path, "w", encoding="ascii", newline="\n") as f:
-        for start in range(0, 784, 28):
-            f.write(" ".join("%.17g" % v for v in flat[start:start + 28]) + "\n")
+        for start in range(0, pixels, width):
+            f.write(" ".join("%.17g" % v for v in flat[start:start + width]) + "\n")
 
 
 # -- IDX digit files --------------------------------------------------------------
@@ -171,8 +182,9 @@ def load_mnist_idx(images_path, labels_path, count: int) -> list[tuple[Tensor, i
     """Load ``count`` (image, label) pairs from the standard IDX pair.
 
     Pixels are normalized to [0, 1] by dividing by 255; image dims must be
-    28x28 and labels must be digits.
+    the input's height x width (28x28) and labels must be digits.
     """
+    height, width = INPUT_SHAPE.dims[1:]
     with open(images_path, "rb") as f:
         magic = _read_be32(f, images_path, "magic")
         if magic != IDX_IMAGE_MAGIC:
@@ -181,8 +193,9 @@ def load_mnist_idx(images_path, labels_path, count: int) -> list[tuple[Tensor, i
         n = _read_be32(f, images_path, "count")
         rows = _read_be32(f, images_path, "rows")
         cols = _read_be32(f, images_path, "cols")
-        if (rows, cols) != (28, 28):
-            raise IdxFormatError(f"{images_path}: expected 28x28 images, got {rows}x{cols}")
+        if (rows, cols) != (height, width):
+            raise IdxFormatError(
+                f"{images_path}: expected {height}x{width} images, got {rows}x{cols}")
         if count > n:
             raise IdxFormatError(f"{images_path}: requested {count} images, file has {n}")
         data = f.read(count * rows * cols)
@@ -205,11 +218,11 @@ def load_mnist_idx(images_path, labels_path, count: int) -> list[tuple[Tensor, i
 
     pairs = []
     for i in range(count):
-        image = pixels[i].astype(np.float64)[np.newaxis, :, :] / 255.0
+        image = pixels[i].astype(np.float64).reshape(INPUT_SHAPE.dims) / 255.0
         label = int(labels[i])
         if not 0 <= label <= 9:
             raise IdxFormatError(f"{labels_path}: label {label} out of range 0..9")
-        pairs.append((Tensor(Shape(1, 28, 28), image), label))
+        pairs.append((Tensor(INPUT_SHAPE, image), label))
     return pairs
 
 

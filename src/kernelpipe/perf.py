@@ -21,7 +21,7 @@ one, truncated toward zero to two decimals; the percent form is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -110,7 +110,9 @@ def platform_catalog(config: dict | None = None) -> dict[str, PlatformConfig]:
             _, name, attr = parts
             if name not in catalog:
                 raise KeyError(f"unknown platform {name!r} in config")
-            current = getattr(catalog[name], attr)  # raises on unknown field
+            if attr not in {f.name for f in fields(PlatformConfig)}:
+                raise KeyError(f"unknown platform field {key!r} in config")
+            current = getattr(catalog[name], attr)
             catalog[name] = replace(catalog[name], **{attr: type(current)(value)})
     return catalog
 

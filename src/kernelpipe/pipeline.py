@@ -11,14 +11,17 @@ narrowing per output element, saturation instead of wraparound.
 
 Geometry comes from :func:`kernelpipe.netdef.lenet5_spec`: each kernel takes
 its conv kernel edge and pool window, stride and op from its stage's layers.
-Launch geometry: one work-item per output element; each stage's global size
-is its output extents, last axis first.  Only the work-group sizes in
-:data:`STAGE_LOCAL_SIZES` are tuning data: each divides its global size, and
-nothing in the math depends on them.
+Launch geometry: one work-item per output map (20 / 50 / 50 / 1 / 1), in
+work-groups of one, so compute-unit replication still permutes the
+schedule.  Each work-item computes its whole map in array arithmetic: a
+convolution is lowered to one integer matmul over stacked shifted slices,
+pooling takes one strided slice per window offset, and a fully-connected
+layer is one matrix-vector product.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,27 +35,17 @@ from .tensors import (
     accumulation_is_static_safe,
     check_accumulation_bound,
     dequantize_array,
-    div_round_even,
+    div_round_even_array,
+    narrow_array,
     quantize_array,
-    rshift_round_even,
-    saturate,
 )
 from .weights import WeightStore
 
-#: Work-group size per stage: the only launch tuning data.
-STAGE_LOCAL_SIZES = {
-    "conv_pool1": (4, 4, 1),
-    "conv2": (4, 4, 1),
-    "pool2": (4, 4, 1),
-    "ip1_relu": (20,),
-    "ip2": (10,),
-}
-
 
 def stage_ndranges(spec: NetworkSpec) -> dict[str, NdRange]:
-    """Each stage's launch space: its output extents, last axis first, as
-    the global size and :data:`STAGE_LOCAL_SIZES` as the work-group size."""
-    return {name: NdRange(out.dims[::-1], STAGE_LOCAL_SIZES[name])
+    """Each stage's launch space: one work-item per output plane (a
+    fully-connected output vector is one plane), in work-groups of one."""
+    return {name: NdRange((math.prod(out.dims[:-2]),), (1,))
             for name, (_, out) in stage_io_shapes(spec).items()}
 
 
@@ -103,94 +96,82 @@ def _overflow_check(q: QFormat, w: np.ndarray, b: np.ndarray):
                                               wmax, bmax, q)
 
 
-def _pool_step(pool: LayerSpec, q: QFormat):
-    """Reduce one pooling window's values: their max, or their
-    round-to-nearest-even average saturated to ``q``."""
-    if pool.pool_op == MAX_POOL:
-        return max
-    area = pool.window * pool.window
-    return lambda vals: saturate(div_round_even(sum(vals), area), q)
+def _pool_plane(pool: LayerSpec, q: QFormat):
+    """Pool one (H, W) plane with one strided slice per window offset: the
+    slices' max, or their sum's round-to-nearest-even average saturated to
+    ``q``."""
+    size, stride = pool.window, pool.stride
+    area = size * size
+
+    def reduce(plane):
+        span_y = stride * ((plane.shape[0] - size) // stride) + 1
+        span_x = stride * ((plane.shape[1] - size) // stride) + 1
+        views = [plane[dy:dy + span_y:stride, dx:dx + span_x:stride]
+                 for dy in range(size) for dx in range(size)]
+        if pool.pool_op == MAX_POOL:
+            return np.maximum.reduce(views)
+        return np.clip(div_round_even_array(sum(views), area), q.raw_min, q.raw_max)
+
+    return reduce
 
 
-def _make_conv_pool1(layers, q: QFormat, check):
-    """Stride-1 valid convolution fused with pooling: each work-item reads
-    the input tile under one pooling window and narrows each conv output
-    before pooling it."""
-    conv, pool = layers
-    k = conv.kernel
-    stride, edge = pool.stride, pool.window - 1 + k
-    offsets = [(dy, dx) for dy in range(pool.window) for dx in range(pool.window)]
-    reduce = _pool_step(pool, q)
+def _lowered_conv(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Valid stride-1 convolution of x (C, H, W) with one filter w (C, k, k),
+    no bias: the shifted input slices stacked into a (taps, positions)
+    matrix and reduced by one integer matmul."""
+    k = w.shape[-1]
+    oh, ow = x.shape[1] - k + 1, x.shape[2] - k + 1
+    cols = np.stack([x[:, dy:dy + oh, dx:dx + ow] for dy in range(k) for dx in range(k)],
+                    axis=1)
+    return (w.reshape(-1) @ cols.reshape(w.size, oh * ow)).reshape(oh, ow)
+
+
+def _make_conv(layers, q: QFormat, check):
+    """Stride-1 valid convolution, fused with pooling when the stage has a
+    pool layer: work-item m reads the whole input, filter m and bias m,
+    narrows its conv map, pools it if fused, and writes output map m."""
+    pool = _pool_plane(layers[1], q) if len(layers) > 1 else None
     frac = q.frac_bits
 
     def body(ctx):
-        ox, oy, m = ctx.global_id
-        tile = ctx.regions["src"].read((0, slice(stride * oy, stride * oy + edge),
-                                        slice(stride * ox, stride * ox + edge)))
-        w = ctx.regions["wts"].read((m, 0))
+        (m,) = ctx.global_id
+        x = ctx.regions["src"].read(Ellipsis)
+        w = ctx.regions["wts"].read(m)
         b = ctx.regions["bias"].read(m)
         if check:
-            check(tile)
-        bias = int(b) << frac
-        vals = []
-        for dy, dx in offsets:
-            acc = int((tile[dy:dy + k, dx:dx + k] * w).sum()) + bias
-            vals.append(saturate(rshift_round_even(acc, frac), q))
-        ctx.regions["dst"].write((m, oy, ox), reduce(vals))
-        ctx.count_macs(len(vals) * w.size)
-
-    return body
-
-
-def _make_conv2(layers, q: QFormat, check):
-    (conv,) = layers
-    k, frac = conv.kernel, q.frac_bits
-
-    def body(ctx):
-        ox, oy, f = ctx.global_id
-        window = ctx.regions["src"].read((slice(None), slice(oy, oy + k),
-                                          slice(ox, ox + k)))
-        w = ctx.regions["wts"].read(f)
-        b = ctx.regions["bias"].read(f)
-        if check:
-            check(window)
-        acc = int((window * w).sum()) + (int(b) << frac)
-        ctx.regions["dst"].write((f, oy, ox), saturate(rshift_round_even(acc, frac), q))
-        ctx.count_macs(w.size)
+            check(x)
+        conv = narrow_array(_lowered_conv(x, w) + (int(b) << frac), q)
+        ctx.regions["dst"].write(m, pool(conv) if pool else conv)
+        ctx.count_macs(conv.size * w.size)
 
     return body
 
 
 def _make_pool2(layers, q: QFormat, check):
     (pool,) = layers
-    stride, size = pool.stride, pool.window
-    reduce = _pool_step(pool, q)
+    reduce = _pool_plane(pool, q)
 
     def body(ctx):
-        ox, oy, c = ctx.global_id
-        block = ctx.regions["src"].read((c, slice(stride * oy, stride * oy + size),
-                                         slice(stride * ox, stride * ox + size)))
-        ctx.regions["dst"].write((c, oy, ox), reduce(block.ravel().tolist()))
+        (c,) = ctx.global_id
+        ctx.regions["dst"].write(c, reduce(ctx.regions["src"].read(c)))
 
     return body
 
 
 def _make_fc(layers, q: QFormat, check):
+    """The whole fully-connected layer as one work-item: one narrowed
+    matrix-vector product, then ReLU when the stage has it."""
     relu = layers[-1].kind == "relu"
     frac = q.frac_bits
 
     def body(ctx):
-        (n,) = ctx.global_id
         x = ctx.regions["src"].read(Ellipsis).ravel()
-        w = ctx.regions["wts"].read(n)
-        b = ctx.regions["bias"].read(n)
+        w = ctx.regions["wts"].read(Ellipsis)
+        b = ctx.regions["bias"].read(Ellipsis)
         if check:
             check(x)
-        acc = int(np.dot(w, x)) + (int(b) << frac)
-        out = saturate(rshift_round_even(acc, frac), q)
-        if relu and out < 0:
-            out = 0
-        ctx.regions["dst"].write(n, out)
+        out = narrow_array(w @ x + (b << frac), q)
+        ctx.regions["dst"].write(Ellipsis, np.maximum(out, 0) if relu else out)
         ctx.count_macs(w.size)
 
     return body
@@ -199,8 +180,8 @@ def _make_fc(layers, q: QFormat, check):
 #: Per stage: kernel factory ``(stage layers, format, overflow check) -> body``
 #: and the weight block the kernel reads (None: no weights, no check).
 _STAGE_KERNELS = {
-    "conv_pool1": (_make_conv_pool1, "conv1"),
-    "conv2": (_make_conv2, "conv2"),
+    "conv_pool1": (_make_conv, "conv1"),
+    "conv2": (_make_conv, "conv2"),
     "pool2": (_make_pool2, None),
     "ip1_relu": (_make_fc, "ip1"),
     "ip2": (_make_fc, "ip2"),

@@ -22,7 +22,7 @@ from .netdef import MAX_POOL, STAGE_NAMES, lenet5_spec
 from .tensors import (
     QFormat,
     check_accumulation_bound,
-    div_round_even,
+    div_round_even_array,
     narrow_array,
     quantize_array,
 )
@@ -112,9 +112,7 @@ def _pool_fixed(x: np.ndarray, window: int, stride: int, pool_op: str,
     if pool_op == MAX_POOL:
         return blocks.max(axis=(2, 4))
     sums = blocks.sum(axis=(2, 4), dtype=np.int64)
-    flat = np.array([div_round_even(int(v), window * window) for v in sums.ravel()],
-                    dtype=np.int64)
-    return np.clip(flat.reshape(sums.shape), q.raw_min, q.raw_max)
+    return np.clip(div_round_even_array(sums, window * window), q.raw_min, q.raw_max)
 
 
 def _fc_fixed(x: np.ndarray, w: np.ndarray, b: np.ndarray, q: QFormat) -> np.ndarray:

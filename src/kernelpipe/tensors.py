@@ -122,27 +122,9 @@ def dequantize_array(raw: np.ndarray, q: QFormat) -> np.ndarray:
     return np.asarray(raw, dtype=np.float64) / q.scale
 
 
-def saturate(raw: int, q: QFormat) -> int:
-    """Clamp a raw value to the format's range (saturation, never wraparound)."""
-    return q.raw_max if raw > q.raw_max else (q.raw_min if raw < q.raw_min else raw)
-
-
-def rshift_round_even(value: int, shift: int) -> int:
-    """Arithmetic right shift with round-half-to-even (symmetric about zero)."""
-    if shift == 0:
-        return value
-    sign = -1 if value < 0 else 1
-    mag = abs(value)
-    quot = mag >> shift
-    rem = mag & ((1 << shift) - 1)
-    half = 1 << (shift - 1)
-    if rem > half or (rem == half and quot & 1):
-        quot += 1
-    return sign * quot
-
-
 def rshift_round_even_array(values: np.ndarray, shift: int) -> np.ndarray:
-    """Vectorized rshift_round_even on int64 arrays."""
+    """Arithmetic right shift of int64 values with round-half-to-even
+    (symmetric about zero)."""
     if shift == 0:
         return np.asarray(values, dtype=np.int64)
     v = np.asarray(values, dtype=np.int64)
@@ -156,6 +138,8 @@ def rshift_round_even_array(values: np.ndarray, shift: int) -> np.ndarray:
 
 
 def narrow_array(acc: np.ndarray, q: QFormat) -> np.ndarray:
+    """Accumulators at scale 2**(2*frac) to saturated raws of ``q``: one
+    round-to-nearest-even right shift by ``frac_bits``, then clamping."""
     return np.clip(rshift_round_even_array(acc, q.frac_bits), q.raw_min, q.raw_max)
 
 
@@ -190,16 +174,15 @@ def check_accumulation_bound(taps: int, activation_max: int, weight_max: int,
         )
 
 
-def div_round_even(value: int, denom: int) -> int:
-    """Integer division with round-half-to-even, symmetric about zero."""
+def div_round_even_array(values: np.ndarray, denom: int) -> np.ndarray:
+    """Integer division of int64 values with round-half-to-even, symmetric
+    about zero."""
     if denom <= 0:
         raise ValueError("denominator must be positive")
-    sign = -1 if value < 0 else 1
-    mag = abs(value)
-    quot, rem = divmod(mag, denom)
-    if 2 * rem > denom or (2 * rem == denom and quot & 1):
-        quot += 1
-    return sign * quot
+    v = np.asarray(values, dtype=np.int64)
+    quot, rem = np.divmod(np.abs(v), denom)
+    quot = quot + ((2 * rem > denom) | ((2 * rem == denom) & (quot & 1 == 1)))
+    return np.where(v < 0, -quot, quot)
 
 
 @dataclass(frozen=True)

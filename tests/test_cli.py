@@ -244,6 +244,14 @@ class TestConfigOverride:
         # memory-bound so the total shrinks by slightly less than half
         assert base_ms / 2 < over_ms < base_ms * 0.51
 
+    def test_misspelled_platform_field_is_user_error(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text(f"platform.{XILINX}.dsp_capacty = 100\n")
+        monkeypatch.setenv("KERNELPIPE_CONFIG", str(cfg))
+        rc = main(["stream", "--platform", "xilinx", "--interval", "1"])
+        assert rc == 1
+        assert "dsp_capacty" in capsys.readouterr().err
+
 
 class TestFixturesCommand:
     def test_writes_files(self, tmp_path, capsys):

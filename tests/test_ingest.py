@@ -79,6 +79,13 @@ class TestWeightsText:
         with pytest.raises(WeightFormatError, match="truncated"):
             load_weights_text(path)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_value_names_line(self, tmp_path, token):
+        path = tmp_path / "w.txt"
+        path.write_text(f"conv1_b 20\n0.0 0.0 0.0\n0.0 {token} 0.0\n")
+        with pytest.raises(WeightFormatError, match=rf"w\.txt:3: .*finite.*'{token}'"):
+            load_weights_text(path)
+
     def test_duplicate_block(self, tmp_path):
         body = "conv1_b 20\n" + " ".join(["0"] * 20) + "\n"
         path = tmp_path / "w.txt"
@@ -106,6 +113,18 @@ class TestImageText:
         load_image_text(path)
         path.write_text(" ".join(["2.0"] * 784))
         with pytest.raises(WeightFormatError, match=r"\[0, 1\]"):
+            load_image_text(path)
+
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_non_finite_pixel_names_line(self, tmp_path, token):
+        # nan compares false against both range ends, so the [0, 1] check
+        # alone would let it through
+        path = tmp_path / "img.txt"
+        write_image_text(np.full((1, 28, 28), 0.5), path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[4] = lines[4].replace("0.5", token, 1)
+        path.write_text("".join(lines))
+        with pytest.raises(WeightFormatError, match=rf"img\.txt:5: .*finite.*'{token}'"):
             load_image_text(path)
 
 

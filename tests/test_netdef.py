@@ -57,13 +57,16 @@ class TestLenet5Spec:
         assert list(WEIGHT_SHAPES.items()) == list(expected.items())
 
     def test_stage_ndranges_from_spec(self):
-        expected = {"conv_pool1": NdRange((12, 12, 20), (4, 4, 1)),
-                    "conv2": NdRange((8, 8, 50), (4, 4, 1)),
-                    "pool2": NdRange((4, 4, 50), (4, 4, 1)),
-                    "ip1_relu": NdRange((500,), (20,)),
-                    "ip2": NdRange((10,), (10,))}
+        # one work-item per output map; a fully-connected vector is one map
+        expected = {"conv_pool1": NdRange((20,), (1,)),
+                    "conv2": NdRange((50,), (1,)),
+                    "pool2": NdRange((50,), (1,)),
+                    "ip1_relu": NdRange((1,), (1,)),
+                    "ip2": NdRange((1,), (1,))}
         for pool_op in (MAX_POOL, AVG_POOL):
-            assert stage_ndranges(lenet5_spec(pool_op)) == expected
+            ndranges = stage_ndranges(lenet5_spec(pool_op))
+            assert ndranges == expected
+            assert sum(nd.total_items for nd in ndranges.values()) == 122
 
     def test_pool_op_flag(self):
         assert lenet5_spec().layers[1].pool_op == MAX_POOL

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -11,11 +13,10 @@ from kernelpipe.tensors import (
     accumulator_limit,
     check_accumulation_bound,
     dequantize_array,
-    div_round_even,
+    div_round_even_array,
+    narrow_array,
     quantize_array,
-    rshift_round_even,
     rshift_round_even_array,
-    saturate,
 )
 
 Q = QFormat(16, 8)
@@ -102,8 +103,8 @@ class TestAccumulation:
         one = int(quantize_array(1.0, Q))
         for _ in range(25):
             acc += one * one
-        raw = saturate(rshift_round_even(acc, Q.frac_bits), Q)
-        assert dequantize_array(raw, Q) == 25.0
+        raw = narrow_array(np.array([acc]), Q)
+        assert dequantize_array(raw, Q).tolist() == [25.0]
 
     def test_overflow_is_hard_error(self):
         limit = accumulator_limit(Q)
@@ -123,12 +124,7 @@ class TestRounding:
         (7, 0, 7),        # no shift
     ])
     def test_rshift_round_even(self, value, shift, expected):
-        assert rshift_round_even(value, shift) == expected
-
-    def test_array_matches_scalar(self):
-        vals = np.arange(-1000, 1000)
-        out = rshift_round_even_array(vals, 3)
-        assert out.tolist() == [rshift_round_even(int(v), 3) for v in vals]
+        assert rshift_round_even_array(np.array([value]), shift).tolist() == [expected]
 
     @pytest.mark.parametrize("value,denom,expected", [
         (10, 4, 2),    # 2.5 ties to even
@@ -138,7 +134,42 @@ class TestRounding:
         (11, 4, 3),    # 2.75 -> 3
     ])
     def test_div_round_even(self, value, denom, expected):
-        assert div_round_even(value, denom) == expected
+        assert div_round_even_array(np.array([value]), denom).tolist() == [expected]
+
+    def test_div_rejects_nonpositive_denominator(self):
+        with pytest.raises(ValueError):
+            div_round_even_array(np.array([1]), 0)
+
+    def test_narrow_saturates(self):
+        acc = np.array([(Q.raw_max + 1) << Q.frac_bits, (Q.raw_min - 1) << Q.frac_bits])
+        assert narrow_array(acc, Q).tolist() == [Q.raw_max, Q.raw_min]
+
+
+# Independent oracle: Python's round() on an exact Fraction rounds half to even.
+_ACC = st.integers(-(2**40), 2**40)
+
+
+@given(st.lists(_ACC, min_size=1, max_size=8), st.integers(0, 20))
+def test_rshift_matches_exact_rounding(values, shift):
+    out = rshift_round_even_array(np.array(values, dtype=np.int64), shift)
+    assert out.tolist() == [round(Fraction(v, 2**shift)) for v in values]
+
+
+@given(st.lists(_ACC, min_size=1, max_size=8), st.integers(1, 5000))
+def test_div_matches_exact_rounding(values, denom):
+    out = div_round_even_array(np.array(values, dtype=np.int64), denom)
+    assert out.tolist() == [round(Fraction(v, denom)) for v in values]
+
+
+@given(st.integers(-(2**30), 2**30), st.integers(1, 20))
+def test_ties_round_to_even_for_both_primitives(quot, shift):
+    # v / 2**shift lies exactly halfway between quot and quot + 1
+    d = 2**shift
+    v = (2 * quot + 1) * (d // 2)
+    expected = round(Fraction(v, d))
+    assert expected % 2 == 0
+    assert rshift_round_even_array(np.array([v]), shift).tolist() == [expected]
+    assert div_round_even_array(np.array([v]), d).tolist() == [expected]
 
 
 class TestTensor:
