@@ -19,6 +19,6 @@ from .perf import (
     simulate_stream,
     render_report,
 )
-from .sweep import sweep_precision, divergence, default_sweep_grid
+from .sweep import sweep_precision, default_sweep_grid
 
 __version__ = "0.1.0"

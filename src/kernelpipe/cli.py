@@ -7,7 +7,8 @@ behavior), ``fixtures`` (materialize seeded synthetic inputs).
 
 Exit codes: 0 success, 1 user/input error, 2 internal invariant violation.
 The ``KERNELPIPE_CONFIG`` environment variable may point at a key=value file
-overriding platform parameters and resource coefficients.
+overriding platform parameters and resource coefficients; an unknown key or
+a non-finite value is a user error.
 """
 
 from __future__ import annotations
@@ -25,9 +26,12 @@ from .ocl import MODE_NONE, MODE_SIMD, MODE_UNROLL, ParallelMode
 from .tensors import QFormat
 
 
-def _load_env_config() -> dict:
+def _load_env_config() -> tuple[dict, dict]:
+    """The platform catalog and resource coefficients with the
+    ``KERNELPIPE_CONFIG`` overrides applied; every key must be one of theirs."""
     path = os.environ.get("KERNELPIPE_CONFIG")
-    return ingest.load_config(path) if path else {}
+    config = ingest.load_config(path) if path else {}
+    return perf.platform_catalog(config), perf.resource_coeffs(config)
 
 
 def _mode_from_args(args, kind: str | None = None) -> ParallelMode:
@@ -46,16 +50,12 @@ def _qformat_from_args(args) -> QFormat:
 def _load_images(args) -> list[np.ndarray]:
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
-    images = []
     if args.images:
-        for path in args.images:
-            images.append(ingest.load_image_text(path).to_float())
-    elif args.mnist:
+        return [ingest.load_image_text(path) for path in args.images]
+    if args.mnist:
         pairs = ingest.load_mnist_idx(args.mnist[0], args.mnist[1], args.count)
-        images.extend(t.to_float() for t, _ in pairs)
-    else:
-        images.extend(fixtures.synthetic_images(args.seed, args.count))
-    return images
+        return [image for image, _ in pairs]
+    return list(fixtures.synthetic_images(args.seed, args.count))
 
 
 def _pool_op(args) -> str:
@@ -88,9 +88,8 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _bench_records(platforms, q, args, config) -> dict[str, list[perf.BenchRecord]]:
+def _bench_records(platforms, q, args, coeffs) -> dict[str, list[perf.BenchRecord]]:
     spec = lenet5_spec()
-    coeffs = perf.resource_coeffs(config)
     modes = [
         ParallelMode(MODE_NONE, cu_count=args.cu),
         ParallelMode(MODE_UNROLL, args.factor, args.cu),
@@ -115,8 +114,7 @@ def _bench_records(platforms, q, args, config) -> dict[str, list[perf.BenchRecor
 
 
 def cmd_bench(args) -> int:
-    config = _load_env_config()
-    catalog = perf.platform_catalog(config)
+    catalog, coeffs = _load_env_config()
 
     if args.from_csv:
         rows = ingest.read_results_csv(args.from_csv)
@@ -126,7 +124,7 @@ def cmd_bench(args) -> int:
     else:
         names = args.platform or [perf.XILINX, perf.ALTERA]
         platforms = [perf.resolve_platform(n, catalog) for n in names]
-        records = _bench_records(platforms, _qformat_from_args(args), args, config)
+        records = _bench_records(platforms, _qformat_from_args(args), args, coeffs)
 
     accel = None
     if len(records) == 2:
@@ -177,8 +175,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_stream(args) -> int:
-    config = _load_env_config()
-    platform = perf.resolve_platform(args.platform, perf.platform_catalog(config))
+    catalog, _ = _load_env_config()
+    platform = perf.resolve_platform(args.platform, catalog)
     q = _qformat_from_args(args)
     mode = _mode_from_args(args)
     spec = lenet5_spec()

@@ -19,7 +19,7 @@ import numpy as np
 from .netdef import lenet5_spec
 from .perf import MODE_ORDER, AccelRecord, BenchRecord
 from .sweep import SweepResult
-from .tensors import QFormat, Tensor
+from .tensors import QFormat
 from .weights import WEIGHT_SHAPES, WeightStore
 
 IDX_IMAGE_MAGIC = 2051
@@ -126,9 +126,10 @@ def load_weights_text(path) -> WeightStore:
 
 
 def write_weights_text(store: WeightStore, path):
-    """Write all blocks with 17 significant digits (lossless float64)."""
+    """Write all blocks of a float64 store with 17 significant digits
+    (lossless)."""
     if store.is_fixed:
-        store = store.to_float()
+        raise ValueError("only a float64 weight store can be written")
     with open(path, "w", encoding="ascii", newline="\n") as f:
         for name, shape in WEIGHT_SHAPES.items():
             f.write(name + " " + " ".join(str(d) for d in shape) + "\n")
@@ -140,9 +141,9 @@ def write_weights_text(store: WeightStore, path):
 # -- text image files -----------------------------------------------------------
 
 
-def load_image_text(path) -> Tensor:
-    """One image of :data:`INPUT_SHAPE` as whitespace-separated floats
-    (784 for the 28x28 input), already normalized to [0, 1]."""
+def load_image_text(path) -> np.ndarray:
+    """One float64 image of :data:`INPUT_SHAPE` from whitespace-separated
+    floats (784 for the 28x28 input), already normalized to [0, 1]."""
     path = Path(path)
     values = []
     with open(path, "r", encoding="ascii") as f:
@@ -154,7 +155,7 @@ def load_image_text(path) -> Tensor:
     arr = np.array(values).reshape(INPUT_SHAPE.dims)
     if arr.min() < 0.0 or arr.max() > 1.0:
         raise WeightFormatError(path, 0, "pixel values must lie in [0, 1]")
-    return Tensor(INPUT_SHAPE, arr)
+    return arr
 
 
 def write_image_text(image: np.ndarray, path):
@@ -178,8 +179,9 @@ def _read_be32(f, path, what) -> int:
     return struct.unpack(">i", data)[0]
 
 
-def load_mnist_idx(images_path, labels_path, count: int) -> list[tuple[Tensor, int]]:
-    """Load ``count`` (image, label) pairs from the standard IDX pair.
+def load_mnist_idx(images_path, labels_path, count: int) -> list[tuple[np.ndarray, int]]:
+    """Load ``count`` (image, label) pairs from the standard IDX pair, each
+    image a float64 array of :data:`INPUT_SHAPE`.
 
     Pixels are normalized to [0, 1] by dividing by 255; image dims must be
     the input's height x width (28x28) and labels must be digits.
@@ -222,7 +224,7 @@ def load_mnist_idx(images_path, labels_path, count: int) -> list[tuple[Tensor, i
         label = int(labels[i])
         if not 0 <= label <= 9:
             raise IdxFormatError(f"{labels_path}: label {label} out of range 0..9")
-        pairs.append((Tensor(INPUT_SHAPE, image), label))
+        pairs.append((image, label))
     return pairs
 
 

@@ -60,8 +60,8 @@ class PlatformConfig:
     def __post_init__(self):
         for attr in ("compute_clock_hz", "ddr_transfer_rate_mt", "ddr_bus_bytes",
                      "logic_capacity_k", "dsp_capacity", "bram_capacity_kb", "lane_budget"):
-            if getattr(self, attr) <= 0:
-                raise ValueError(f"{attr} must be positive")
+            if not 0 < getattr(self, attr) < math.inf:
+                raise ValueError(f"{attr} must be positive and finite")
         if not 0 < self.ddr_efficiency <= 1:
             raise ValueError("ddr_efficiency must be in (0, 1]")
 
@@ -73,7 +73,8 @@ class PlatformConfig:
 
 def platform_catalog(config: dict | None = None) -> dict[str, PlatformConfig]:
     """The two boards, optionally overridden by a key=value config dict
-    (keys ``platform.<name>.<field>``).
+    (keys ``platform.<name>.<field>``; ``coeff.`` keys are left to
+    :func:`resource_coeffs`, and any other key is a ``KeyError``).
 
     DDR rates come from the boards (800 vs 1333 MT/s); the 200 MHz compute
     clock and 0.7 controller efficiency are documented model defaults, not
@@ -105,8 +106,10 @@ def platform_catalog(config: dict | None = None) -> dict[str, PlatformConfig]:
     if config:
         for key, value in config.items():
             parts = key.split(".")
-            if len(parts) != 3 or parts[0] != "platform":
+            if parts[0] == "coeff":
                 continue
+            if len(parts) != 3 or parts[0] != "platform":
+                raise KeyError(f"unknown config key {key!r}")
             _, name, attr = parts
             if name not in catalog:
                 raise KeyError(f"unknown platform {name!r} in config")
@@ -234,23 +237,25 @@ class ResourceEstimate:
 
 def resource_coeffs(config: dict | None = None) -> dict:
     """Default coefficients, optionally overridden by config keys
-    ``coeff.<stage>.<metric>.base`` / ``.per_lane``."""
+    ``coeff.<stage>.<metric>.base`` / ``.per_lane`` with finite values
+    (``platform.`` keys are left to :func:`platform_catalog`, and any other
+    key is a ``KeyError``)."""
     coeffs = {stage: dict(metrics) for stage, metrics in DEFAULT_RESOURCE_COEFFS.items()}
     if config:
         for key, value in config.items():
             parts = key.split(".")
-            if len(parts) != 4 or parts[0] != "coeff":
+            if parts[0] == "platform":
                 continue
+            if (len(parts) != 4 or parts[0] != "coeff" or parts[1] not in coeffs
+                    or parts[2] not in coeffs[parts[1]]
+                    or parts[3] not in ("base", "per_lane")):
+                raise KeyError(f"unknown config key {key!r}")
             _, stage, metric, which = parts
-            if stage not in coeffs or metric not in coeffs[stage]:
-                raise KeyError(f"unknown coefficient {key!r}")
+            number = float(value)
+            if not math.isfinite(number):
+                raise ValueError(f"coefficient {key!r} must be finite, got {value!r}")
             base, inc = coeffs[stage][metric]
-            if which == "base":
-                coeffs[stage][metric] = (float(value), inc)
-            elif which == "per_lane":
-                coeffs[stage][metric] = (base, float(value))
-            else:
-                raise KeyError(f"unknown coefficient {key!r}")
+            coeffs[stage][metric] = (number, inc) if which == "base" else (base, number)
     return coeffs
 
 
@@ -353,8 +358,9 @@ def simulate_stream(service_ms: float, capture_interval_ms: float,
     by (service - interval) per frame; otherwise it is flat at the service
     time.
     """
-    if service_ms <= 0 or capture_interval_ms <= 0 or n_frames <= 0:
-        raise ValueError("service, interval and frame count must be positive")
+    if not (0 < service_ms < math.inf and 0 < capture_interval_ms < math.inf
+            and n_frames > 0):
+        raise ValueError("service, interval and frame count must be positive and finite")
     latencies = np.zeros(n_frames)
     completion = 0.0
     for i in range(n_frames):

@@ -71,9 +71,10 @@ def pool_2d(x: np.ndarray, window: int, stride: int, pool_op: str) -> np.ndarray
 
 def forward_float(image: np.ndarray, store: WeightStore,
                   pool_op: str = MAX_POOL) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Float64 forward pass; returns (logits, per-stage outputs)."""
+    """Float64 forward pass of a float64 store; returns (logits, per-stage
+    outputs)."""
     if store.is_fixed:
-        store = store.to_float()
+        raise ValueError("the float64 reference needs the float64 weight store")
     in_shape, pool1, pool2 = _input_and_pools(pool_op)
     image = np.asarray(image, dtype=np.float64).reshape(in_shape)
     out1 = pool_2d(conv_valid(image, store.conv1_w, store.conv1_b),

@@ -3,8 +3,8 @@ before classification degrades.
 
 Each candidate format quantizes weights and activations (activations pick up
 the format implicitly through stage-boundary narrowing), runs the engine
-forward pass on every image, and measures logit divergence and winner
-agreement against the float64 reference.
+forward pass on every image, and measures the absolute logit error and
+winner agreement against the float64 reference.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from . import pipeline, reference
 from .netdef import MAX_POOL, lenet5_spec
-from .tensors import QFormat, Tensor
+from .tensors import QFormat
 from .weights import WeightStore
 
 
@@ -28,22 +28,6 @@ class SweepResult:
     n_samples: int
 
 
-def divergence(fixed_logits: Tensor, float_logits: np.ndarray) -> tuple[float, bool]:
-    """Max absolute logit error after dequantization, and whether the
-    tie-broken argmax winners agree."""
-    float_logits = np.asarray(float_logits, dtype=np.float64)
-    if not fixed_logits.is_fixed:
-        raise ValueError("first argument must be a fixed-point tensor")
-    if fixed_logits.shape.element_count != float_logits.size:
-        raise ValueError(
-            f"logit length mismatch: {fixed_logits.shape.element_count} vs {float_logits.size}")
-    approx = fixed_logits.to_float().ravel()
-    exact = float_logits.ravel()
-    max_err = float(np.max(np.abs(approx - exact)))
-    agree = reference.winner_digit(approx) == reference.winner_digit(exact)
-    return max_err, agree
-
-
 def default_sweep_grid() -> list[QFormat]:
     """Half the bits fractional, bracketing plausible reduced precisions."""
     return [QFormat(b, b // 2) for b in (8, 12, 16, 24, 32)]
@@ -51,8 +35,8 @@ def default_sweep_grid() -> list[QFormat]:
 
 def sweep_precision(store: WeightStore, images, formats: list[QFormat],
                     pool_op: str = MAX_POOL) -> list[SweepResult]:
-    """Run the engine under every format on every image; aggregate divergence
-    from the float64 reference.
+    """Run the engine under every format on every image; aggregate the logit
+    error against the float64 reference.
 
     ``store`` must be float64 (it is quantized per format here); ``images``
     is a sequence of arrays of the network's input shape.

@@ -1,12 +1,13 @@
-"""Shape-tagged tensors and deterministic fixed-point arithmetic.
+"""Shape-tagged fixed-point tensors and deterministic fixed-point arithmetic.
 
-Values are either float64 or signed fixed-point Q(total, frac) raws.  Fixed
-arithmetic is exact: products and sums are carried in wide integer
-accumulators with no intermediate rounding, and one round-to-nearest-even
-narrowing step per output element.  Because the accumulation is exact
-integer math, any summation order produces the same raw value; the
-documented canonical order (input-channel outer, kernel row, kernel column)
-is what every implementation in this package follows.
+Values are signed fixed-point Q(total, frac) raws held in int64; float64
+data (images, float weight stores, reference outputs) stays in plain numpy
+arrays.  Fixed arithmetic is exact: products and sums are carried in wide
+integer accumulators with no intermediate rounding, and one
+round-to-nearest-even narrowing step per output element.  Because the
+accumulation is exact integer math, any summation order produces the same
+raw value; the documented canonical order (input-channel outer, kernel row,
+kernel column) is what every implementation in this package follows.
 
 Layout convention everywhere: row-major with channel as the outermost axis
 (numpy C order on (channels, height, width) arrays).
@@ -14,7 +15,7 @@ Layout convention everywhere: row-major with channel as the outermost axis
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -187,7 +188,7 @@ def div_round_even_array(values: np.ndarray, denom: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Tensor:
-    """Shape-tagged array: float64 values, or int64 raws plus a QFormat.
+    """Shape-tagged int64 raws of one QFormat.
 
     Immutable after construction; the backing array is set non-writeable so
     instances can be handed across threads.
@@ -195,7 +196,7 @@ class Tensor:
 
     shape: Shape
     values: np.ndarray
-    qformat: QFormat | None = field(default=None)
+    qformat: QFormat
 
     def __post_init__(self):
         values = np.asarray(self.values)
@@ -203,30 +204,10 @@ class Tensor:
             raise ValueError(
                 f"element count {values.size} does not match shape {self.shape.dims}"
             )
-        if self.qformat is None:
-            values = values.astype(np.float64).reshape(self.shape.dims)
-        else:
-            values = values.astype(np.int64).reshape(self.shape.dims)
-            if values.size and (
-                values.min() < self.qformat.raw_min or values.max() > self.qformat.raw_max
-            ):
-                raise ValueError(f"raw values outside {self.qformat} range")
+        values = values.astype(np.int64).reshape(self.shape.dims)
+        if values.size and (
+            values.min() < self.qformat.raw_min or values.max() > self.qformat.raw_max
+        ):
+            raise ValueError(f"raw values outside {self.qformat} range")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-
-    @property
-    def is_fixed(self) -> bool:
-        return self.qformat is not None
-
-    @classmethod
-    def from_float(cls, values: np.ndarray, q: QFormat | None = None) -> "Tensor":
-        values = np.asarray(values, dtype=np.float64)
-        shape = Shape(*values.shape)
-        if q is None:
-            return cls(shape, values)
-        return cls(shape, quantize_array(values, q), q)
-
-    def to_float(self) -> np.ndarray:
-        if self.qformat is None:
-            return np.array(self.values, dtype=np.float64)
-        return dequantize_array(self.values, self.qformat)

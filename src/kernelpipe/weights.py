@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .netdef import lenet5_spec, weight_shapes
-from .tensors import QFormat, quantize_array, dequantize_array
+from .tensors import QFormat, quantize_array
 
 WEIGHT_SHAPES = weight_shapes(lenet5_spec())
 
@@ -53,13 +53,6 @@ class WeightStore:
             raise ValueError("store is already fixed-point")
         raws = {name: quantize_array(arr, q) for name, arr in self.arrays().items()}
         return WeightStore(qformat=q, **raws)
-
-    def to_float(self) -> "WeightStore":
-        if not self.is_fixed:
-            return self
-        values = {name: dequantize_array(arr, self.qformat)
-                  for name, arr in self.arrays().items()}
-        return WeightStore(**values)
 
 
 def zero_weights() -> WeightStore:

@@ -110,7 +110,8 @@ class TestBench:
         assert rc == 0
         text = capsys.readouterr().out
         assert "acceleration" in text
-        rows = list(csv.reader(open(out_dir / "bench.csv")))
+        with open(out_dir / "bench.csv", newline="") as f:
+            rows = list(csv.reader(f))
         assert rows[0] == ["kernel", "platform", "mode", "time_ms",
                            "logic_k", "dsp", "bram_kb"]
         assert len(rows) - 1 == 5 * 2 * 3  # kernels x platforms x modes
@@ -155,7 +156,8 @@ class TestBench:
         assert "3.59/1.94/2.00" in text
         assert "-2.66/-1.16/-2.16" in text
         # every cell of the written acceleration table matches the published one
-        rows = list(csv.reader(open(out_dir / "acceleration.csv")))[1:]
+        with open(out_dir / "acceleration.csv", newline="") as f:
+            rows = list(csv.reader(f))[1:]
         assert len(rows) == 15
         for kernel, mode_name, ratio, percent in rows:
             mode_idx = ["none", "unroll", "simd"].index(mode_name)
@@ -225,6 +227,12 @@ class TestStream:
         rc = main(["stream", "--platform", "altera", "--interval", "0"])
         assert rc == 1
 
+    @pytest.mark.parametrize("interval", ["nan", "inf"])
+    def test_non_finite_interval_is_user_error(self, interval, capsys):
+        rc = main(["stream", "--platform", "altera", "--interval", interval])
+        assert rc == 1
+        assert "finite" in capsys.readouterr().err
+
 
 class TestConfigOverride:
     def test_env_config_changes_service(self, tmp_path, capsys, monkeypatch):
@@ -251,6 +259,30 @@ class TestConfigOverride:
         rc = main(["stream", "--platform", "xilinx", "--interval", "1"])
         assert rc == 1
         assert "dsp_capacty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["bench"], ["stream", "--platform", "altera",
+                                                     "--interval", "1"]])
+    @pytest.mark.parametrize("line, message", [
+        # keys of no known form
+        (f"platfom.{ALTERA}.compute_clock_hz = 1", "platfom."),
+        ("coef.conv2.logic_k.base = 99", "coef.conv2.logic_k.base"),
+        (f"platform.{ALTERA}.compute_clock_hz.extra = 5", "compute_clock_hz.extra"),
+        ("coeff.conv2.logic_k = 9", "coeff.conv2.logic_k"),
+        # non-finite values
+        (f"platform.{ALTERA}.compute_clock_hz = nan", "finite"),
+        (f"platform.{ALTERA}.compute_clock_hz = inf", "finite"),
+        ("coeff.conv2.logic_k.per_lane = nan", "finite"),
+        ("coeff.conv2.logic_k.per_lane = inf", "finite"),
+    ])
+    def test_bad_config_line_is_user_error(self, line, message, command, tmp_path, capsys,
+                                           monkeypatch):
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text(line + "\n")
+        monkeypatch.setenv("KERNELPIPE_CONFIG", str(cfg))
+        assert main(command) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
 
 class TestFixturesCommand:

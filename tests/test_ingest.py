@@ -5,6 +5,7 @@ import pytest
 
 from kernelpipe import fixtures
 from kernelpipe.ingest import (
+    INPUT_SHAPE,
     IdxFormatError,
     WeightFormatError,
     load_config,
@@ -39,6 +40,12 @@ class TestWeightsText:
         loaded = load_weights_text(path)
         for name in WEIGHT_SHAPES:
             assert np.array_equal(getattr(loaded, name), getattr(store42, name)), name
+
+    def test_fixed_store_rejected(self, tmp_path, fixed42):
+        path = tmp_path / "w.txt"
+        with pytest.raises(ValueError, match="float64"):
+            write_weights_text(fixed42, path)
+        assert not path.exists()
 
     def test_write_read_write_is_byte_identical(self, tmp_path, store42):
         p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -99,7 +106,9 @@ class TestImageText:
         path = tmp_path / "img.txt"
         write_image_text(images42[0], path)
         loaded = load_image_text(path)
-        assert np.array_equal(loaded.to_float(), images42[0])
+        assert isinstance(loaded, np.ndarray)
+        assert loaded.dtype == np.float64 and loaded.shape == INPUT_SHAPE.dims
+        assert np.array_equal(loaded, images42[0])
 
     def test_wrong_pixel_count(self, tmp_path):
         path = tmp_path / "img.txt"
@@ -148,7 +157,7 @@ class TestIdx:
         # a 10-image 28x28 header admits exactly 10 images of that shape
         img_path, lab_path, _, _ = write_idx_pair(tmp_path, count=10)
         pairs = load_mnist_idx(img_path, lab_path, 10)
-        assert [t.shape.dims for t, _ in pairs] == [(1, 28, 28)] * 10
+        assert [image.shape for image, _ in pairs] == [(1, 28, 28)] * 10
         with pytest.raises(IdxFormatError, match="file has 10"):
             load_mnist_idx(img_path, lab_path, 11)
 
@@ -156,9 +165,11 @@ class TestIdx:
         img_path, lab_path, pixels, labels = write_idx_pair(tmp_path)
         pairs = load_mnist_idx(img_path, lab_path, 3)
         assert len(pairs) == 3
-        for i, (tensor, label) in enumerate(pairs):
+        for i, (image, label) in enumerate(pairs):
             assert label == labels[i]
-            assert np.array_equal(tensor.to_float()[0], pixels[i] / 255.0)
+            assert isinstance(image, np.ndarray)
+            assert image.dtype == np.float64 and image.shape == INPUT_SHAPE.dims
+            assert np.array_equal(image[0], pixels[i] / 255.0)
 
     def test_count_zero_gives_empty(self, tmp_path):
         img_path, lab_path, _, _ = write_idx_pair(tmp_path)
@@ -289,4 +300,4 @@ class TestFixtureFiles:
         assert store.ip1_w.shape == (500, 800)
         assert len(written["images"]) == 2
         img = load_image_text(written["images"][0])
-        assert np.array_equal(img.to_float(), fixtures.synthetic_images(7, 2)[0])
+        assert np.array_equal(img, fixtures.synthetic_images(7, 2)[0])

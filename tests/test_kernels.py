@@ -58,7 +58,7 @@ class TestStageExamples:
                            conv2_w=np.full((50, 20, 5, 5), 2.0 ** -9)).quantize(q)
         image = np.zeros((1, 28, 28))
         result = pipeline.forward(image, store)
-        assert np.all(result.stage("conv_pool1").output.to_float() == 1.0)
+        assert np.all(result.stage("conv_pool1").output.values == q.scale)
         out = result.stage("conv2").output.values
         assert np.all(out == 500 * q.scale // 512)
         _, stages = reference.forward_quantized(image, store)
@@ -85,7 +85,7 @@ class TestStageExamples:
         result = pipeline.forward(image42, store_with(ip1_b=np.full(500, -1.0)).quantize(Q))
         assert not result.stage("ip1_relu").output.values.any()
         result = pipeline.forward(image42, store_with(ip1_b=np.full(500, 2.0)).quantize(Q))
-        assert np.all(result.stage("ip1_relu").output.to_float() == 2.0)
+        assert np.all(result.stage("ip1_relu").output.values == 2 * Q.scale)
 
     def test_ip2_bias_digits(self, image42):
         bias = np.arange(10) / 8.0  # exact at Q16.8
@@ -200,6 +200,10 @@ class TestReferenceProperties:
     def test_float_store_rejected(self, store42, image42):
         with pytest.raises(ValueError, match="quantize the weight store"):
             pipeline.forward(image42, store42)
+
+    def test_float_reference_rejects_fixed_store(self, fixed42, image42):
+        with pytest.raises(ValueError, match="float64 weight store"):
+            reference.forward_float(image42, fixed42)
 
     def test_winner_sequence_matches_reference(self, store42, fixed42, images42):
         for image in images42:

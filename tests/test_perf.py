@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,13 @@ class TestCatalog:
         assert cat[XILINX].compute_clock_hz == 200e6
         with pytest.raises(KeyError):
             platform_catalog({"platform.unknown_board.dsp_capacity": "1"})
+        # coefficient keys belong to resource_coeffs; anything else is unknown
+        assert platform_catalog({"coeff.pool2.dsp.base": "7"}) == platform_catalog()
+        with pytest.raises(KeyError, match="platfom"):
+            platform_catalog({f"platfom.{ALTERA}.dsp_capacity": "1"})
+        for value in ("nan", "inf", "-inf"):
+            with pytest.raises(ValueError, match="finite"):
+                platform_catalog({f"platform.{ALTERA}.compute_clock_hz": value})
 
 
 class TestFootprints:
@@ -219,6 +228,13 @@ class TestEstimateResources:
         assert coeffs["pool2"]["dsp"] == (7.0, 1)
         with pytest.raises(KeyError):
             resource_coeffs({"coeff.pool9.dsp.base": "7"})
+        # platform keys belong to platform_catalog; anything else is unknown
+        assert resource_coeffs({f"platform.{ALTERA}.dsp_capacity": "1"}) == resource_coeffs()
+        with pytest.raises(KeyError, match="coef"):
+            resource_coeffs({"coef.pool2.dsp.base": "7"})
+        for value in ("nan", "inf"):
+            with pytest.raises(ValueError, match="finite"):
+                resource_coeffs({"coeff.pool2.dsp.per_lane": value})
 
 
 class TestSignedAcceleration:
@@ -317,6 +333,11 @@ class TestStreaming:
             simulate_stream(0, 10, 5)
         with pytest.raises(ValueError):
             simulate_stream(10, 10, 0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                simulate_stream(bad, 10, 5)
+            with pytest.raises(ValueError, match="finite"):
+                simulate_stream(10, bad, 5)
 
 
 class TestRenderReport:

@@ -2,45 +2,11 @@ import numpy as np
 import pytest
 
 from kernelpipe import fixtures, pipeline, reference
-from kernelpipe.sweep import default_sweep_grid, divergence, sweep_precision
-from kernelpipe.tensors import QFormat, Tensor
+from kernelpipe.sweep import default_sweep_grid, sweep_precision
+from kernelpipe.tensors import QFormat
 from kernelpipe.weights import WEIGHT_SHAPES, WeightStore
 
 Q = QFormat(16, 8)
-
-
-def tensor10(values):
-    return Tensor.from_float(np.asarray(values, dtype=np.float64), Q)
-
-
-class TestDivergence:
-    def test_identical_logits(self):
-        floats = np.arange(10) / 4.0
-        assert divergence(tensor10(floats), floats) == (0.0, True)
-
-    def test_uniform_shift_keeps_winner(self):
-        floats = np.arange(10) / 4.0  # exact at frac 8
-        shifted = tensor10(floats + 0.25)
-        max_err, agree = divergence(shifted, floats)
-        assert max_err == 0.25
-        assert agree
-
-    def test_swapped_winner(self):
-        floats = np.zeros(10)
-        floats[1] = 1.0
-        fixed = np.zeros(10)
-        fixed[0] = 1.0
-        max_err, agree = divergence(tensor10(fixed), floats)
-        assert max_err == 1.0
-        assert not agree
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            divergence(tensor10(np.zeros(10)), np.zeros(9))
-
-    def test_needs_fixed_tensor(self):
-        with pytest.raises(ValueError):
-            divergence(Tensor.from_float(np.zeros(10)), np.zeros(10))
 
 
 def dyadic_store() -> WeightStore:

@@ -174,23 +174,24 @@ def test_ties_round_to_even_for_both_primitives(quot, shift):
 
 class TestTensor:
     def test_fixed_roundtrip(self):
-        t = Tensor.from_float(np.array([[1.5, -1.0], [0.0, 2.25]]), Q)
-        assert t.is_fixed
+        raws = quantize_array(np.array([1.5, -1.0, 0.0, 2.25]), Q)
+        t = Tensor(Shape(2, 2), raws, Q)
+        assert t.values.dtype == np.int64
         assert t.values.tolist() == [[384, -256], [0, 576]]
-        assert t.to_float().tolist() == [[1.5, -1.0], [0.0, 2.25]]
+        assert dequantize_array(t.values, Q).tolist() == [[1.5, -1.0], [0.0, 2.25]]
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            Tensor(Shape(3), np.zeros(4))
+            Tensor(Shape(3), np.zeros(4, dtype=np.int64), Q)
 
     def test_raw_range_enforced(self):
         with pytest.raises(ValueError):
             Tensor(Shape(2), np.array([0, 50000]), Q)
 
     def test_immutable(self):
-        t = Tensor.from_float(np.zeros((2, 2)))
+        t = Tensor(Shape(2, 2), np.zeros(4, dtype=np.int64), Q)
         with pytest.raises(ValueError):
-            t.values[0, 0] = 1.0
+            t.values[0, 0] = 1
 
     def test_dequantize_array_is_exact(self):
         raws = np.array([384, -256, 32767])
