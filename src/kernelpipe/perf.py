@@ -41,9 +41,8 @@ _PLATFORM_ALIASES = {"altera": ALTERA, "stratix": ALTERA, "xilinx": XILINX, "vir
 class PlatformConfig:
     """One board: compute clock, DDR interface, and resource capacities.
 
-    ``dsp_capacity`` for the Stratix V counts its 256 27x27 multipliers; the
-    512 narrower 18x18 multipliers are recorded in ``secondary_multipliers``
-    but unused by the default model.
+    ``dsp_capacity`` for the Stratix V counts its 256 27x27 multipliers; its
+    512 narrower 18x18 multipliers are not modeled.
     """
 
     name: str
@@ -55,7 +54,6 @@ class PlatformConfig:
     dsp_capacity: int
     bram_capacity_kb: float
     lane_budget: int = 4096
-    secondary_multipliers: int = 0
 
     def __post_init__(self):
         for attr in ("compute_clock_hz", "ddr_transfer_rate_mt", "ddr_bus_bytes",
@@ -73,8 +71,9 @@ class PlatformConfig:
 
 def platform_catalog(config: dict | None = None) -> dict[str, PlatformConfig]:
     """The two boards, optionally overridden by a key=value config dict
-    (keys ``platform.<name>.<field>``; ``coeff.`` keys are left to
-    :func:`resource_coeffs`, and any other key is a ``KeyError``).
+    (keys ``platform.<name>.<field>`` for a numeric field; ``coeff.`` keys
+    are left to :func:`resource_coeffs`, and any other key, ``name``
+    included, is a ``KeyError``).
 
     DDR rates come from the boards (800 vs 1333 MT/s); the 200 MHz compute
     clock and 0.7 controller efficiency are documented model defaults, not
@@ -90,7 +89,6 @@ def platform_catalog(config: dict | None = None) -> dict[str, PlatformConfig]:
             logic_capacity_k=622.0,
             dsp_capacity=256,
             bram_capacity_kb=50 * 1024,  # 50 Mbit of M20K
-            secondary_multipliers=512,
         ),
         XILINX: PlatformConfig(
             name=XILINX,
@@ -113,8 +111,8 @@ def platform_catalog(config: dict | None = None) -> dict[str, PlatformConfig]:
             _, name, attr = parts
             if name not in catalog:
                 raise KeyError(f"unknown platform {name!r} in config")
-            if attr not in {f.name for f in fields(PlatformConfig)}:
-                raise KeyError(f"unknown platform field {key!r} in config")
+            if attr == "name" or attr not in {f.name for f in fields(PlatformConfig)}:
+                raise KeyError(f"{key!r} is not a numeric platform field")
             current = getattr(catalog[name], attr)
             catalog[name] = replace(catalog[name], **{attr: type(current)(value)})
     return catalog
@@ -350,34 +348,28 @@ def acceleration_table(first: list[BenchRecord], second: list[BenchRecord]) -> l
 
 def simulate_stream(service_ms: float, capture_interval_ms: float,
                     n_frames: int) -> np.ndarray:
-    """Per-frame latency of a single-server frame queue.
+    """Per-frame latency of a single-server frame queue, in closed form.
 
     Frames arrive every ``capture_interval_ms``; each takes ``service_ms``.
-    completion_i = max(arrival_i, completion_{i-1}) + service.  When service
-    exceeds the interval the backlog grows without bound and latency climbs
-    by (service - interval) per frame; otherwise it is flat at the service
-    time.
+    Frame i waits i * max(0, service - interval), so its latency is
+    service + i * max(0, service - interval): it climbs without bound when
+    service exceeds the interval and is exactly the service time otherwise.
+    Every latency takes the same few roundings whatever the frame count, so
+    none drifts as frames accumulate.
     """
     if not (0 < service_ms < math.inf and 0 < capture_interval_ms < math.inf
             and n_frames > 0):
         raise ValueError("service, interval and frame count must be positive and finite")
-    latencies = np.zeros(n_frames)
-    completion = 0.0
-    for i in range(n_frames):
-        arrival = i * capture_interval_ms
-        # wait-based form keeps the no-backlog case bitwise constant
-        wait = max(0.0, completion - arrival)
-        latencies[i] = wait + service_ms
-        completion = arrival + latencies[i]
+    # built in place: no temporary array the size of the result
+    latencies = np.arange(n_frames, dtype=np.float64)
+    latencies *= max(0.0, service_ms - capture_interval_ms)
+    latencies += service_ms
     return latencies
 
 
 def stream_verdict(latencies: np.ndarray) -> str:
-    """"growing" when the latency series has positive slope, else "constant"."""
-    if len(latencies) < 2:
-        return "constant"
-    rise = latencies[-1] - latencies[0]
-    return "growing" if rise > 1e-9 * max(1.0, abs(latencies[0])) else "constant"
+    """"growing" when the last latency exceeds the first, else "constant"."""
+    return "growing" if len(latencies) >= 2 and latencies[-1] > latencies[0] else "constant"
 
 
 # -- report rendering ------------------------------------------------------------

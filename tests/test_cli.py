@@ -1,4 +1,6 @@
 import csv
+import json
+from pathlib import Path
 
 import pytest
 
@@ -217,6 +219,16 @@ class TestStream:
         assert rc == 0
         assert "verdict,constant" in capsys.readouterr().out
 
+    def test_interval_equal_to_service_is_constant(self, capsys):
+        # the interval is the service time itself, to the last bit
+        interval = repr(self.totals()[ALTERA])
+        rc = main(["stream", "--platform", "altera", "--interval", interval,
+                   "--mode", "simd", "--width", "1024", "--frames", "100000"])
+        assert rc == 0
+        fields = dict(line.split(",") for line in capsys.readouterr().out.splitlines())
+        assert fields["verdict"] == "constant"
+        assert fields["first_latency_ms"] == fields["last_latency_ms"]
+
     def test_single_frame_is_constant(self, capsys):
         rc = main(["stream", "--platform", "altera", "--interval", "0.001",
                    "--frames", "1"])
@@ -268,6 +280,9 @@ class TestConfigOverride:
         ("coef.conv2.logic_k.base = 99", "coef.conv2.logic_k.base"),
         (f"platform.{ALTERA}.compute_clock_hz.extra = 5", "compute_clock_hz.extra"),
         ("coeff.conv2.logic_k = 9", "coeff.conv2.logic_k"),
+        # fields that are not numeric board parameters
+        (f"platform.{ALTERA}.name = {XILINX}", f"{ALTERA}.name"),
+        (f"platform.{ALTERA}.secondary_multipliers = 7", "secondary_multipliers"),
         # non-finite values
         (f"platform.{ALTERA}.compute_clock_hz = nan", "finite"),
         (f"platform.{ALTERA}.compute_clock_hz = inf", "finite"),
@@ -283,6 +298,23 @@ class TestConfigOverride:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+
+class TestGoldenModel:
+    def test_replays_perfbench_golden_outputs(self, capsys, monkeypatch):
+        # the modeled numbers must stay bit-stable: every bench/stream command
+        # the benchmark's model workload issues prints exactly its record
+        golden_path = Path(__file__).resolve().parents[1] / "perfbench" / "golden_model.json"
+        golden = json.loads(golden_path.read_text(encoding="ascii"))
+        monkeypatch.delenv("KERNELPIPE_CONFIG", raising=False)
+        differing = []
+        for command, expected in golden.items():
+            rc = main(command.split())
+            captured = capsys.readouterr()
+            if rc != 0 or captured.out + captured.err != expected:
+                differing.append(command)
+        assert golden
+        assert differing == []
 
 
 class TestFixturesCommand:

@@ -62,7 +62,6 @@ class TestCatalog:
         cfg = platform_catalog()[ALTERA]
         assert cfg.logic_capacity_k == 622
         assert cfg.dsp_capacity == 256
-        assert cfg.secondary_multipliers == 512
         assert cfg.bram_capacity_kb == 51200
 
     def test_xilinx_resources(self):
@@ -312,11 +311,26 @@ class TestStreaming:
     def test_backlogged_series(self):
         assert simulate_stream(12, 10, 5).tolist() == [12, 14, 16, 18, 20]
 
-    def test_underloaded_is_constant(self):
-        assert simulate_stream(8, 10, 5).tolist() == [8, 8, 8, 8, 8]
+    @pytest.mark.parametrize("service, interval, n", [
+        (8, 10, 5),
+        # service one hair below the interval: no frame may ever wait
+        (0.3315361829350533, 0.3315361829353849, 100_000),
+    ])
+    def test_underloaded_is_constant(self, service, interval, n):
+        lat = simulate_stream(service, interval, n)
+        assert len(lat) == n and (lat == service).all()
+        assert stream_verdict(lat) == "constant"
 
-    def test_critically_loaded_is_constant(self):
-        assert simulate_stream(10, 10, 5).tolist() == [10, 10, 10, 10, 10]
+    @pytest.mark.parametrize("service, interval, n", [
+        (10, 10, 5),
+        # intervals with no exact binary form, over many frames
+        (0.1, 0.1, 100_000),
+        (1.7, 1.7, 100_000),
+    ])
+    def test_critically_loaded_is_constant(self, service, interval, n):
+        lat = simulate_stream(service, interval, n)
+        assert len(lat) == n and (lat == service).all()
+        assert stream_verdict(lat) == "constant"
 
     def test_slope_is_exactly_service_minus_interval(self):
         lat = simulate_stream(12.5, 10.0, 1000)
