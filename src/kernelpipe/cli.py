@@ -5,7 +5,9 @@ Table-style timing/resource estimates and the cross-platform acceleration),
 ``sweep`` (precision-reduction study), ``stream`` (real-time frame-queue
 behavior), ``fixtures`` (materialize seeded synthetic inputs).
 
-Exit codes: 0 success, 1 user/input error, 2 internal invariant violation.
+Each subcommand accepts only the options it reads.  Exit codes: 0 success
+(``--help`` too), 1 user/input error (usage errors too), 2 internal
+invariant violation.
 The ``KERNELPIPE_CONFIG`` environment variable may point at a key=value file
 overriding platform parameters and resource coefficients; an unknown key or
 a non-finite value is a user error.
@@ -34,11 +36,10 @@ def _load_env_config() -> tuple[dict, dict]:
     return perf.platform_catalog(config), perf.resource_coeffs(config)
 
 
-def _mode_from_args(args, kind: str | None = None) -> ParallelMode:
-    kind = kind if kind is not None else args.mode
-    if kind == MODE_UNROLL:
+def _mode_from_args(args) -> ParallelMode:
+    if args.mode == MODE_UNROLL:
         return ParallelMode(MODE_UNROLL, args.factor, args.cu)
-    if kind == MODE_SIMD:
+    if args.mode == MODE_SIMD:
         return ParallelMode(MODE_SIMD, args.width, args.cu)
     return ParallelMode(MODE_NONE, cu_count=args.cu)
 
@@ -209,30 +210,39 @@ def build_parser() -> argparse.ArgumentParser:
                     "OpenCL device, with FPGA platform modeling.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_mode=True):
+    def add_format(p):
         p.add_argument("--qbits", type=int, default=16, help="fixed-point total bits")
         p.add_argument("--qfrac", type=int, default=8, help="fixed-point fractional bits")
+
+    def add_widths(p):
+        p.add_argument("--factor", type=int, default=4, help="unroll factor")
+        p.add_argument("--width", type=int, default=8, help="simd width")
+        p.add_argument("--cu", type=int, default=1, help="compute unit count")
+
+    def add_mode(p):
+        p.add_argument("--mode", choices=[MODE_NONE, MODE_UNROLL, MODE_SIMD], default=MODE_NONE)
+        add_widths(p)
+
+    def add_image_source(p, count):
+        # text images or an IDX pair, else seeded synthetic images; and the pool op
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--images", nargs="*", default=[], help="text image files")
+        source.add_argument("--mnist", nargs=2, metavar=("IMAGES", "LABELS"),
+                            help="IDX image/label pair")
+        p.add_argument("--count", type=int, default=count,
+                       help="images to take from IDX / synthetic source")
         p.add_argument("--seed", type=int, default=42, help="seed for synthetic fixtures")
         p.add_argument("--avg-pool", action="store_true",
                        help="use average pooling instead of max")
-        if with_mode:
-            p.add_argument("--mode", choices=[MODE_NONE, MODE_UNROLL, MODE_SIMD],
-                           default=MODE_NONE)
-            p.add_argument("--factor", type=int, default=4, help="unroll factor")
-            p.add_argument("--width", type=int, default=8, help="simd width")
-            p.add_argument("--cu", type=int, default=1, help="compute unit count")
 
     p = sub.add_parser("classify", help="classify images through the pipeline")
     p.add_argument("--weights", required=True, help="text weight file")
-    p.add_argument("--images", nargs="*", default=[], help="text image files")
-    p.add_argument("--mnist", nargs=2, metavar=("IMAGES", "LABELS"),
-                   help="IDX image/label pair")
-    p.add_argument("--count", type=int, default=4,
-                   help="images to take from IDX / synthetic source")
+    add_image_source(p, count=4)
     p.add_argument("--oracle", action="store_true",
                    help="also run the float64 reference and report winner agreement")
     p.add_argument("--out", help="write result lines to this file instead of stdout")
-    add_common(p)
+    add_format(p)
+    add_mode(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("bench", help="estimate per-kernel times/resources and acceleration")
@@ -240,19 +250,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="platform name (repeatable; default: both boards)")
     p.add_argument("--from-csv", help="replay a results CSV instead of estimating")
     p.add_argument("--out", help="directory for bench.csv / acceleration.csv")
-    add_common(p)
+    add_format(p)
+    add_widths(p)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("sweep", help="precision-reduction study")
     p.add_argument("--weights", help="text weight file (default: synthetic)")
-    p.add_argument("--images", nargs="*", default=[], help="text image files")
-    p.add_argument("--mnist", nargs=2, metavar=("IMAGES", "LABELS"))
-    p.add_argument("--count", type=int, default=20,
-                   help="images to take from IDX / synthetic source")
+    add_image_source(p, count=20)
     p.add_argument("--grid", default="8:4,12:6,16:8,24:12,32:16",
                    help="comma-separated total:frac bit pairs")
     p.add_argument("--out", help="sweep CSV path (default sweep.csv)")
-    add_common(p, with_mode=False)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("stream", help="frame-queue latency under continuous capture")
@@ -260,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval", type=float, required=True,
                    help="frame capture interval in ms")
     p.add_argument("--frames", type=int, default=1000)
-    add_common(p)
+    add_format(p)
+    add_mode(p)
     p.set_defaults(func=cmd_stream)
 
     p = sub.add_parser("fixtures", help="write seeded synthetic weight/image files")
@@ -273,8 +281,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:

@@ -15,27 +15,25 @@ from pathlib import Path
 
 import numpy as np
 
-from .weights import WeightStore
+from .netdef import lenet5_spec
+from .weights import WEIGHT_SHAPES, WeightStore
+
+# Normal standard deviation of each weight block.
+_WEIGHT_STDS = {"conv1_w": 0.35, "conv1_b": 0.1, "conv2_w": 0.1, "conv2_b": 0.1,
+                "ip1_w": 0.04, "ip1_b": 0.1, "ip2_w": 0.15, "ip2_b": 0.5}
 
 
 def synthetic_weights(seed: int = 42) -> WeightStore:
+    """Blocks drawn in :data:`WEIGHT_SHAPES` order from one seeded stream."""
     rng = np.random.default_rng(seed)
-    return WeightStore(
-        conv1_w=rng.normal(0.0, 0.35, (20, 1, 5, 5)),
-        conv1_b=rng.normal(0.0, 0.1, (20,)),
-        conv2_w=rng.normal(0.0, 0.1, (50, 20, 5, 5)),
-        conv2_b=rng.normal(0.0, 0.1, (50,)),
-        ip1_w=rng.normal(0.0, 0.04, (500, 800)),
-        ip1_b=rng.normal(0.0, 0.1, (500,)),
-        ip2_w=rng.normal(0.0, 0.15, (10, 500)),
-        ip2_b=rng.normal(0.0, 0.5, (10,)),
-    )
+    return WeightStore(**{name: rng.normal(0.0, _WEIGHT_STDS[name], shape)
+                          for name, shape in WEIGHT_SHAPES.items()})
 
 
 def synthetic_images(seed: int = 42, count: int = 1) -> np.ndarray:
-    """(count, 1, 28, 28) pixel arrays in [0, 1]."""
+    """``count`` pixel arrays of the network input shape (1, 28, 28), in [0, 1]."""
     rng = np.random.default_rng(seed)
-    return rng.random((count, 1, 28, 28))
+    return rng.random((count, *lenet5_spec().input_shape.dims))
 
 
 def write_fixture_files(out_dir, seed: int = 42, count: int = 4) -> dict[str, list[str]]:

@@ -246,26 +246,25 @@ def write_results_csv(records, path):
 
 def read_results_csv(path) -> list[tuple[str, BenchRecord]]:
     """Inverse of :func:`write_results_csv`; rows for one (kernel, platform)
-    must cover exactly the three modes."""
+    must cover exactly the three modes, once each, with finite values."""
     groups: dict[tuple[str, str], dict[str, tuple]] = {}
-    order: list[tuple[str, str]] = []
     with open(path, "r", encoding="ascii", newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header != BENCH_CSV_HEADER:
             raise ValueError(f"{path}: expected header {','.join(BENCH_CSV_HEADER)}")
         for row in reader:
+            line = reader.line_num
             if len(row) != 7:
-                raise ValueError(f"{path}: malformed row {row!r}")
+                raise ValueError(f"{path}:{line}: malformed row {row!r}")
             kernel, platform, mode = row[0], row[1], row[2]
-            key = (platform, kernel)
-            if key not in groups:
-                groups[key] = {}
-                order.append(key)
-            groups[key][mode] = tuple(float(v) for v in row[3:])
+            modes = groups.setdefault((platform, kernel), {})
+            if mode in modes:
+                raise ValueError(f"{path}:{line}: duplicate row for kernel {kernel!r} "
+                                 f"on {platform!r} in mode {mode!r}")
+            modes[mode] = tuple(_parse_float(v, path, line) for v in row[3:])
     records = []
-    for platform, kernel in order:
-        modes = groups[(platform, kernel)]
+    for (platform, kernel), modes in groups.items():
         if set(modes) != set(MODE_ORDER):
             raise ValueError(f"{path}: kernel {kernel!r} on {platform!r} lacks modes "
                              f"{sorted(set(MODE_ORDER) - set(modes))}")

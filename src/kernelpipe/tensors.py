@@ -3,11 +3,12 @@
 Values are signed fixed-point Q(total, frac) raws held in int64; float64
 data (images, float weight stores, reference outputs) stays in plain numpy
 arrays.  Fixed arithmetic is exact: products and sums are carried in wide
-integer accumulators with no intermediate rounding, and one
-round-to-nearest-even narrowing step per output element.  Because the
-accumulation is exact integer math, any summation order produces the same
-raw value; the documented canonical order (input-channel outer, kernel row,
-kernel column) is what every implementation in this package follows.
+integer accumulators with no intermediate rounding, and each output element
+takes one rounding step, :func:`div_round_even_array` (floor division, then
+round half to even), the only integer rounding primitive.  Because the
+accumulation is exact, any summation order produces the same raw value; the
+documented canonical order (input-channel outer, kernel row, kernel column)
+is what every implementation in this package follows.
 
 Layout convention everywhere: row-major with channel as the outermost axis
 (numpy C order on (channels, height, width) arrays).
@@ -68,15 +69,12 @@ class QFormat:
 
     total_bits: int
     frac_bits: int
-    signed: bool = True
 
     def __post_init__(self):
         if not 8 <= self.total_bits <= 32:
             raise ValueError(f"total_bits must be in 8..32, got {self.total_bits}")
         if not 0 <= self.frac_bits <= self.total_bits - 1:
             raise ValueError(f"frac_bits must be in 0..total_bits-1, got {self.frac_bits}")
-        if not self.signed:
-            raise ValueError("only signed formats are supported")
 
     @property
     def scale(self) -> int:
@@ -123,25 +121,20 @@ def dequantize_array(raw: np.ndarray, q: QFormat) -> np.ndarray:
     return np.asarray(raw, dtype=np.float64) / q.scale
 
 
-def rshift_round_even_array(values: np.ndarray, shift: int) -> np.ndarray:
-    """Arithmetic right shift of int64 values with round-half-to-even
-    (symmetric about zero)."""
-    if shift == 0:
-        return np.asarray(values, dtype=np.int64)
-    v = np.asarray(values, dtype=np.int64)
-    sign = np.where(v < 0, -1, 1)
-    mag = np.abs(v)
-    quot = mag >> shift
-    rem = mag & ((1 << shift) - 1)
-    half = 1 << (shift - 1)
-    quot = quot + ((rem > half) | ((rem == half) & (quot & 1 == 1)))
-    return sign * quot
+def div_round_even_array(values: np.ndarray, denom: int) -> np.ndarray:
+    """int64 values over a positive ``denom``, rounded half to even: the
+    floor quotient steps up when the remainder exceeds half of ``denom``,
+    or equals it and the quotient is odd."""
+    if denom <= 0:
+        raise ValueError("denominator must be positive")
+    quot, rem = np.divmod(np.asarray(values, dtype=np.int64), denom)
+    return quot + ((2 * rem > denom) | ((2 * rem == denom) & (quot & 1 == 1)))
 
 
 def narrow_array(acc: np.ndarray, q: QFormat) -> np.ndarray:
     """Accumulators at scale 2**(2*frac) to saturated raws of ``q``: one
-    round-to-nearest-even right shift by ``frac_bits``, then clamping."""
-    return np.clip(rshift_round_even_array(acc, q.frac_bits), q.raw_min, q.raw_max)
+    round-to-nearest-even division by ``q.scale``, then clamping."""
+    return np.clip(div_round_even_array(acc, q.scale), q.raw_min, q.raw_max)
 
 
 def accumulator_limit(q: QFormat) -> int:
@@ -154,12 +147,18 @@ def accumulator_limit(q: QFormat) -> int:
     return min(1 << (q.accumulator_bits - 1), 1 << 62)
 
 
+def _accumulation_bound(taps: int, activation_max: int, weight_max: int,
+                        bias_max: int, q: QFormat) -> int:
+    """Worst-case accumulator magnitude of a dot product plus bias."""
+    return taps * int(activation_max) * int(weight_max) + (int(bias_max) << q.frac_bits)
+
+
 def accumulation_is_static_safe(taps: int, weight_max: int, bias_max: int,
                                 q: QFormat) -> bool:
-    """True when a ``taps``-term dot product cannot overflow even with every
-    activation saturated; callers must guard actual magnitudes otherwise."""
-    bound = taps * q.raw_max * int(weight_max) + (int(bias_max) << q.frac_bits)
-    return bound < accumulator_limit(q)
+    """True when a ``taps``-term dot product cannot overflow for any
+    activation of ``q``, whose largest magnitude is ``-q.raw_min``;
+    callers must guard actual magnitudes otherwise."""
+    return _accumulation_bound(taps, -q.raw_min, weight_max, bias_max, q) < accumulator_limit(q)
 
 
 def check_accumulation_bound(taps: int, activation_max: int, weight_max: int,
@@ -167,23 +166,11 @@ def check_accumulation_bound(taps: int, activation_max: int, weight_max: int,
     """Hard error when a dot product over values of the given magnitudes
     could exceed the accumulator: it signals a mis-sized accumulator, never
     a representable result."""
-    bound = taps * int(activation_max) * int(weight_max) + (int(bias_max) << q.frac_bits)
-    if bound >= accumulator_limit(q):
+    if _accumulation_bound(taps, activation_max, weight_max, bias_max, q) >= accumulator_limit(q):
         raise FixedPointOverflowError(
             f"accumulation of {taps} taps with |a|<={activation_max}, "
             f"|w|<={weight_max} can exceed the accumulator for {q}"
         )
-
-
-def div_round_even_array(values: np.ndarray, denom: int) -> np.ndarray:
-    """Integer division of int64 values with round-half-to-even, symmetric
-    about zero."""
-    if denom <= 0:
-        raise ValueError("denominator must be positive")
-    v = np.asarray(values, dtype=np.int64)
-    quot, rem = np.divmod(np.abs(v), denom)
-    quot = quot + ((2 * rem > denom) | ((2 * rem == denom) & (quot & 1 == 1)))
-    return np.where(v < 0, -quot, quot)
 
 
 @dataclass(frozen=True)

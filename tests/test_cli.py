@@ -172,6 +172,15 @@ class TestBench:
         assert rc == 1
         assert "cyclone" in capsys.readouterr().err
 
+    def test_replay_non_finite_cell_is_user_error(self, tmp_path, capsys):
+        path = tmp_path / "bench.csv"
+        write_results_csv([(XILINX, BenchRecord("conv2", (float("inf"), 1.0, 1.0),
+                                                (0, 0, 0), (0, 0, 0), (0, 0, 0)))], path)
+        assert main(["bench", "--from-csv", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}:2:" in captured.err
+
 
 class TestSweep:
     def test_small_grid_writes_csv(self, tmp_path, capsys):
@@ -298,6 +307,37 @@ class TestConfigOverride:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        # options a subcommand does not read
+        ["bench", "--mode", "simd"],
+        ["bench", "--seed", "9"],
+        ["bench", "--avg-pool"],
+        ["stream", "--platform", "altera", "--interval", "1", "--seed", "9"],
+        ["stream", "--platform", "altera", "--interval", "1", "--avg-pool"],
+        ["sweep", "--count", "1", "--grid", "16:8", "--qbits", "8"],
+        ["sweep", "--count", "1", "--grid", "16:8", "--qfrac", "4"],
+        ["bench", "--bogus"],
+        # two image sources at once
+        ["classify", "--weights", "{weights}", "--images", "{image}",
+         "--mnist", "nofile", "nofile"],
+        # a missing required option, a malformed value
+        ["classify", "--count", "1"],
+        ["stream", "--platform", "altera", "--interval", "abc"],
+    ], ids=" ".join)
+    def test_usage_error_exits_1(self, argv, fixture_files, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # a sweep that ran would write sweep.csv here
+        fill = {"{weights}": fixture_files["weights"][0],
+                "{image}": fixture_files["images"][0]}
+        assert main([fill.get(arg, arg) for arg in argv]) == 1
+        assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["classify", "bench", "sweep", "stream", "fixtures"])
+    def test_help_exits_0(self, command, capsys):
+        assert main([command, "--help"]) == 0
+        assert "usage" in capsys.readouterr().out
 
 
 class TestGoldenModel:

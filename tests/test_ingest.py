@@ -249,6 +249,24 @@ class TestResultsCsv:
         with pytest.raises(ValueError, match="simd"):
             read_results_csv(path)
 
+    @pytest.mark.parametrize("token", ["inf", "nan"])
+    def test_non_finite_value_rejected(self, token, tmp_path):
+        path = tmp_path / "bench.csv"
+        write_results_csv(sample_records()[:1], path)
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].replace("1.96", token)  # the unroll row's time
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"bench\.csv:3: .*{token}"):
+            read_results_csv(path)
+
+    def test_duplicate_row_rejected(self, tmp_path):
+        path = tmp_path / "bench.csv"
+        write_results_csv(sample_records()[:1], path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + [lines[1]]) + "\n")  # the none row again
+        with pytest.raises(ValueError, match=r"bench\.csv:5: duplicate row .*'none'"):
+            read_results_csv(path)
+
 
 class TestOtherCsv:
     def test_accel_csv(self, tmp_path):

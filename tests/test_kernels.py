@@ -168,10 +168,21 @@ class TestReferenceProperties:
 
     def test_engine_overflow_guard(self):
         ones = WeightStore(**{n: np.ones(s) for n, s in WEIGHT_SHAPES.items()})
-        with pytest.raises(FixedPointOverflowError):
-            pipeline.forward(np.ones((1, 28, 28)), ones.quantize(QFormat(32, 24)))
-        with pytest.raises(FixedPointOverflowError):
-            reference.forward_quantized(np.ones((1, 28, 28)), ones, QFormat(32, 24))
+        # conv1 filter 0 holds exact Q32.5 raws 85899345 on all 25 taps and
+        # bias 1543503872; over an image saturated at raw_min (magnitude
+        # 2**31) the accumulator reaches the 2**62 limit exactly
+        w = np.zeros((20, 1, 5, 5))
+        w[0] = 85899345 / 32
+        b = np.zeros(20)
+        b[0] = 1543503872 / 32
+        cases = ((ones, np.ones((1, 28, 28)), QFormat(32, 24)),
+                 (store_with(conv1_w=w, conv1_b=b), np.full((1, 28, 28), -1e12),
+                  QFormat(32, 5)))
+        for store, image, q in cases:
+            with pytest.raises(FixedPointOverflowError):
+                pipeline.forward(image, store.quantize(q))
+            with pytest.raises(FixedPointOverflowError):
+                reference.forward_quantized(image, store, q)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(8, 32).flatmap(
