@@ -258,6 +258,9 @@ def read_results_csv(path) -> list[tuple[str, BenchRecord]]:
             if len(row) != 7:
                 raise ValueError(f"{path}:{line}: malformed row {row!r}")
             kernel, platform, mode = row[0], row[1], row[2]
+            if mode not in MODE_ORDER:
+                raise ValueError(f"{path}:{line}: unknown mode {mode!r}; "
+                                 f"expected {'/'.join(MODE_ORDER)}")
             modes = groups.setdefault((platform, kernel), {})
             if mode in modes:
                 raise ValueError(f"{path}:{line}: duplicate row for kernel {kernel!r} "

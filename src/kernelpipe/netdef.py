@@ -3,6 +3,8 @@
 The network is a linear pipeline of conv / pool / fully-connected / relu
 layers, partitioned into the five device kernels the engine actually runs:
 conv_pool1, conv2, pool2, ip1_relu, ip2.  Nothing here depends on a backend.
+Only this module decides layer geometry (stride-1 valid convolution, pooling
+that tiles its input in non-overlapping windows) and weight blocks.
 """
 
 from __future__ import annotations
@@ -25,18 +27,17 @@ class ShapeInferenceError(ValueError):
 class LayerSpec:
     kind: str  # conv | pool | fully_connected | relu
     out_maps: int = 0        # conv
-    kernel: int = 0          # conv: square kernel edge
-    stride: int = 1          # conv and pool
-    window: int = 0          # pool: square window edge
+    kernel: int = 0          # conv: square kernel edge, stride 1
+    window: int = 0          # pool: square window edge = stride
     pool_op: str = MAX_POOL  # pool: max | average
     out_neurons: int = 0     # fully_connected
 
     def __post_init__(self):
         if self.kind == "conv":
-            if self.out_maps < 1 or self.kernel < 1 or self.stride < 1:
+            if self.out_maps < 1 or self.kernel < 1:
                 raise ValueError(f"invalid conv layer: {self}")
         elif self.kind == "pool":
-            if self.window < 1 or self.stride < 1:
+            if self.window < 1:
                 raise ValueError(f"invalid pool layer: {self}")
             if self.pool_op not in (MAX_POOL, AVG_POOL):
                 raise ValueError(f"unknown pool_op {self.pool_op!r}")
@@ -47,12 +48,12 @@ class LayerSpec:
             raise ValueError(f"unknown layer kind {self.kind!r}")
 
 
-def conv(out_maps: int, kernel: int, stride: int = 1) -> LayerSpec:
-    return LayerSpec(kind="conv", out_maps=out_maps, kernel=kernel, stride=stride)
+def conv(out_maps: int, kernel: int) -> LayerSpec:
+    return LayerSpec(kind="conv", out_maps=out_maps, kernel=kernel)
 
 
-def pool(window: int, stride: int, pool_op: str = MAX_POOL) -> LayerSpec:
-    return LayerSpec(kind="pool", window=window, stride=stride, pool_op=pool_op)
+def pool(window: int, pool_op: str = MAX_POOL) -> LayerSpec:
+    return LayerSpec(kind="pool", window=window, pool_op=pool_op)
 
 
 def fully_connected(out_neurons: int) -> LayerSpec:
@@ -106,10 +107,10 @@ def lenet5_spec(pool_op: str = MAX_POOL) -> NetworkSpec:
     averaging.
     """
     layers = (
-        conv(out_maps=20, kernel=5, stride=1),
-        pool(window=2, stride=2, pool_op=pool_op),
-        conv(out_maps=50, kernel=5, stride=1),
-        pool(window=2, stride=2, pool_op=pool_op),
+        conv(out_maps=20, kernel=5),
+        pool(window=2, pool_op=pool_op),
+        conv(out_maps=50, kernel=5),
+        pool(window=2, pool_op=pool_op),
         fully_connected(500),
         relu(),
         fully_connected(10),
@@ -125,9 +126,9 @@ def lenet5_spec(pool_op: str = MAX_POOL) -> NetworkSpec:
 
 
 def infer_shapes(spec: NetworkSpec) -> list[Shape]:
-    """Per-layer output shapes.  Valid (unpadded) convolution geometry:
-    conv out = (out_maps, (H-k)/stride+1, (W-k)/stride+1); pool divides the
-    spatial extents by its stride; fully_connected flattens its input.
+    """Per-layer output shapes.  Valid stride-1 convolution geometry:
+    conv out = (out_maps, H-k+1, W-k+1); pool divides the spatial extents by
+    its window, which must tile them; fully_connected flattens its input.
     """
     shapes: list[Shape] = []
     current = spec.input_shape
@@ -139,17 +140,15 @@ def infer_shapes(spec: NetworkSpec) -> list[Shape]:
                     f"layer {index} (conv {layer.kernel}x{layer.kernel}) "
                     f"exceeds input {h}x{w}"
                 )
-            out_h = (h - layer.kernel) // layer.stride + 1
-            out_w = (w - layer.kernel) // layer.stride + 1
-            current = Shape(layer.out_maps, out_h, out_w)
+            current = Shape(layer.out_maps, h - layer.kernel + 1, w - layer.kernel + 1)
         elif layer.kind == "pool":
             c, h, w = current.dims
-            if layer.window > h or layer.window > w:
+            if h % layer.window or w % layer.window:
                 raise ShapeInferenceError(
                     f"layer {index} (pool {layer.window}x{layer.window}) "
-                    f"exceeds input {h}x{w}"
+                    f"does not tile input {h}x{w}"
                 )
-            current = Shape(c, h // layer.stride, w // layer.stride)
+            current = Shape(c, h // layer.window, w // layer.window)
         elif layer.kind == "fully_connected":
             current = Shape(layer.out_neurons)
         else:  # relu preserves shape
@@ -162,14 +161,13 @@ def infer_shapes(spec: NetworkSpec) -> list[Shape]:
 _WEIGHT_PREFIXES = {"conv": "conv", "fully_connected": "ip"}
 
 
-def weight_shapes(spec: NetworkSpec) -> dict[str, tuple[int, ...]]:
-    """Weight and bias shapes of every parameterized layer, in layer order.
-
-    Blocks are named ``conv<n>_w``/``conv<n>_b`` and ``ip<n>_w``/``ip<n>_b``,
-    counting each kind from 1.  Conv weights are (out_maps, in_channels, k,
-    k); fully-connected weights are (out_neurons, flattened input size).
+def layer_weights(spec: NetworkSpec) -> list[tuple[str, tuple[int, ...]] | None]:
+    """Per layer: its weight block's name (``conv<n>``/``ip<n>``, counting
+    each kind from 1) and weight shape, or None for a layer without weights.
+    Conv weights are (out_maps, in_channels, k, k), fully-connected weights
+    (out_neurons, flattened input size); the bias has one entry per row.
     """
-    shapes: dict[str, tuple[int, ...]] = {}
+    blocks: list[tuple[str, tuple[int, ...]] | None] = []
     counts = dict.fromkeys(_WEIGHT_PREFIXES, 0)
     for layer, inp in zip(spec.layers, (spec.input_shape, *infer_shapes(spec))):
         if layer.kind == "conv":
@@ -177,9 +175,18 @@ def weight_shapes(spec: NetworkSpec) -> dict[str, tuple[int, ...]]:
         elif layer.kind == "fully_connected":
             w = (layer.out_neurons, inp.element_count)
         else:
+            blocks.append(None)
             continue
         counts[layer.kind] += 1
-        name = f"{_WEIGHT_PREFIXES[layer.kind]}{counts[layer.kind]}"
+        blocks.append((f"{_WEIGHT_PREFIXES[layer.kind]}{counts[layer.kind]}", w))
+    return blocks
+
+
+def weight_shapes(spec: NetworkSpec) -> dict[str, tuple[int, ...]]:
+    """``<block>_w``/``<block>_b`` shapes of every :func:`layer_weights`
+    block, in layer order (the order weight files are written in)."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    for name, w in filter(None, layer_weights(spec)):
         shapes[f"{name}_w"] = w
         shapes[f"{name}_b"] = (w[0],)
     return shapes

@@ -85,10 +85,6 @@ class KernelDef:
                     f"binding {name!r}: local/private regions are declared via specs"
                 )
 
-    @property
-    def is_generator_body(self) -> bool:
-        return inspect.isgeneratorfunction(self.body)
-
 
 class WorkItemCtx:
     """Per-work-item view: ids, visible regions, and a MAC counter."""
@@ -135,7 +131,6 @@ def execute_kernel(kdef: KernelDef, nd: NdRange, macs: list):
         else:
             shared_regions[name] = buf  # global: unrestricted, counted internally
 
-    generator_body = kdef.is_generator_body
     for group_id in group_schedule(nd, kdef.mode.cu_count):
         regions = shared_regions
         if kdef.local_specs:
@@ -156,24 +151,19 @@ def execute_kernel(kdef: KernelDef, nd: NdRange, macs: list):
                         priv, AccessScope("item", group_id=group_id, item_id=gid))
             ctxs.append(WorkItemCtx(gid, local_id, group_id, item_regions, macs))
 
-        if not generator_body:
-            for ctx in ctxs:
-                kdef.body(ctx)
-            continue
-
-        # Barrier-phase execution: each yield is a barrier; advance all items
-        # one phase at a time and require them to agree on every barrier.
-        gens = [kdef.body(ctx) for ctx in ctxs]
-        alive = list(range(len(gens)))
+        # A plain body runs to completion when called; a generator body
+        # returns a generator whose every yield is a barrier: advance all
+        # items one phase at a time and require them to agree on every barrier.
+        alive = [gen for gen in map(kdef.body, ctxs) if inspect.isgenerator(gen)]
         while alive:
-            at_barrier, finished = [], []
-            for idx in alive:
+            at_barrier = []
+            for gen in alive:
                 try:
-                    next(gens[idx])
-                    at_barrier.append(idx)
+                    next(gen)
+                    at_barrier.append(gen)
                 except StopIteration:
-                    finished.append(idx)
-            if at_barrier and finished:
+                    pass
+            if at_barrier and len(at_barrier) < len(alive):
                 raise BarrierDivergenceError(
                     f"kernel {kdef.name!r} group {group_id}: "
                     f"{len(at_barrier)} of {len(alive)} items reached the barrier"

@@ -142,8 +142,7 @@ class Buffer:
     def begin_epoch(self):
         if not self._counted:
             return
-        self._epoch_read0 = self.read_bytes
-        self._epoch_written0 = self.written_bytes
+        self.read_bytes = self.written_bytes = 0
         self._read_mask[...] = False
         self._write_mask[...] = False
 
@@ -152,8 +151,8 @@ class Buffer:
         if not self._counted:
             return (0, 0, 0, 0)
         return (
-            self.read_bytes - self._epoch_read0,
-            self.written_bytes - self._epoch_written0,
+            self.read_bytes,
+            self.written_bytes,
             int(self._read_mask.sum()) * self.element_bytes,
             int(self._write_mask.sum()) * self.element_bytes,
         )

@@ -120,50 +120,41 @@ class CommandQueue:
 
     # -- enqueue ---------------------------------------------------------
 
+    def _enqueue(self, kind: str, name: str, waits, event: Event | None,
+                 touched=(), **fields) -> Event:
+        """Append one command: check its wait-list, attach its completion
+        event, and keep the global buffers it touches for byte counting."""
+        waits = self._check_waits(waits)
+        event = self._resolve_event(event)
+        event.command_index = len(self._commands)
+        touched = tuple(b for b in touched if b.kind == GLOBAL)
+        self._commands.append(_Command(kind, name, waits, event, touched=touched, **fields))
+        return event
+
     def enqueue_kernel(self, kernel: KernelDef, ndrange: NdRange,
                        waits=(), event: Event | None = None) -> Event:
-        waits = self._check_waits(waits)
+        event = self._enqueue("kernel", kernel.name, waits, event, kernel.bindings.values(),
+                              kernel=kernel, ndrange=ndrange)
         for buf in kernel.bindings.values():
             if buf.kind == CONSTANT:
                 buf.freeze()
-        event = self._resolve_event(event)
-        event.command_index = len(self._commands)
-        touched = tuple(b for b in kernel.bindings.values() if b.kind == GLOBAL)
-        self._commands.append(_Command("kernel", kernel.name, waits, event,
-                                       kernel=kernel, ndrange=ndrange, touched=touched))
         return event
 
     def enqueue_write(self, buffer: Buffer, host_data,
                       waits=(), event: Event | None = None) -> Event:
         """Host -> device copy; data is snapshotted at enqueue time."""
-        waits = self._check_waits(waits)
-        event = self._resolve_event(event)
-        event.command_index = len(self._commands)
-        touched = (buffer,) if buffer.kind == GLOBAL else ()
-        self._commands.append(_Command("write", f"write:{buffer.name}", waits, event,
-                                       buffer=buffer,
-                                       host_data=np.array(host_data, copy=True),
-                                       touched=touched))
-        return event
+        return self._enqueue("write", f"write:{buffer.name}", waits, event, (buffer,),
+                             buffer=buffer, host_data=np.array(host_data, copy=True))
 
     def enqueue_read(self, buffer: Buffer, waits=(), event: Event | None = None) -> Event:
         """Device -> host copy; the copy lands in the command's record."""
-        waits = self._check_waits(waits)
-        event = self._resolve_event(event)
-        event.command_index = len(self._commands)
-        touched = (buffer,) if buffer.kind == GLOBAL else ()
-        self._commands.append(_Command("read", f"read:{buffer.name}", waits, event,
-                                       buffer=buffer, touched=touched))
-        return event
+        return self._enqueue("read", f"read:{buffer.name}", waits, event, (buffer,),
+                             buffer=buffer)
 
     def enqueue_marker(self, waits=(), event: Event | None = None) -> Event:
         """Synchronization point; in an in-order queue it fires once every
         earlier command has completed."""
-        waits = self._check_waits(waits)
-        event = self._resolve_event(event)
-        event.command_index = len(self._commands)
-        self._commands.append(_Command("marker", "marker", waits, event))
-        return event
+        return self._enqueue("marker", "marker", waits, event)
 
     # -- execution ---------------------------------------------------------
 

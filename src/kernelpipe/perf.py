@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .netdef import NetworkSpec, infer_shapes, stage_io_shapes, weight_shapes
+from .netdef import NetworkSpec, infer_shapes, layer_weights, stage_io_shapes
 from .ocl import ParallelMode
 from .tensors import QFormat
 
@@ -155,17 +155,15 @@ def kernel_footprint(spec: NetworkSpec, stage: str, q: QFormat) -> KernelFootpri
     in_shape, out_shape = io[stage]
     _, start, end = next(g for g in spec.stage_grouping if g[0] == stage)
 
-    # one (weights, bias) shape pair per parameterized layer, in layer order;
-    # each output element is one dot product over a weight row
-    blocks = iter(weight_shapes(spec).values())
-    macs = 0
-    weight_elems = 0
-    for index, (layer, out) in enumerate(zip(spec.layers, infer_shapes(spec))):
-        if layer.kind in ("conv", "fully_connected"):
-            w, b = next(blocks), next(blocks)
-            if start <= index < end:
-                macs += out.element_count * math.prod(w[1:])
-                weight_elems += math.prod(w) + math.prod(b)
+    # each output element is one dot product over a weight row; the bias
+    # adds one element per row
+    outs, blocks = infer_shapes(spec), layer_weights(spec)
+    macs = weight_elems = 0
+    for index in range(start, end):
+        if blocks[index]:
+            _, w = blocks[index]
+            macs += outs[index].element_count * math.prod(w[1:])
+            weight_elems += math.prod(w) + w[0]
 
     width = q.element_bytes
     return KernelFootprint(

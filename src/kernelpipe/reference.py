@@ -11,6 +11,10 @@ Two ground truths live here, both free of the execution-model machinery:
   accumulation is exact, this path is bit-for-bit what the device engine
   must produce.
 
+Geometry comes from :mod:`kernelpipe.netdef`.  The arithmetic (an einsum over
+sliding windows, a reshape into pooling blocks) is this module's own, and it
+imports nothing from the engine: the bit-exact check compares two implementations.
+
 Winner selection is argmax with lowest-index tie-break throughout.
 """
 
@@ -49,11 +53,10 @@ def _conv_sums(x: np.ndarray, w: np.ndarray, dtype) -> np.ndarray:
     return np.einsum("cyxij,fcij->fyx", windows, w, dtype=dtype)
 
 
-def _pool_blocks(x: np.ndarray, window: int, stride: int) -> np.ndarray:
-    """x (C,H,W) as (C, H/window, window, W/window, window) pooling blocks."""
+def _pool_blocks(x: np.ndarray, window: int) -> np.ndarray:
+    """x (C,H,W), which the window tiles, as (C, H/window, window, W/window,
+    window) pooling blocks."""
     c, h, w = x.shape
-    if window != stride or h % window or w % window:
-        raise ValueError("reference pooling expects non-overlapping exact windows")
     return x.reshape(c, h // window, window, w // window, window)
 
 
@@ -62,8 +65,8 @@ def conv_valid(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _conv_sums(x, w, np.float64) + b[:, None, None]
 
 
-def pool_2d(x: np.ndarray, window: int, stride: int, pool_op: str) -> np.ndarray:
-    blocks = _pool_blocks(x, window, stride)
+def pool_2d(x: np.ndarray, window: int, pool_op: str) -> np.ndarray:
+    blocks = _pool_blocks(x, window)
     if pool_op == MAX_POOL:
         return blocks.max(axis=(2, 4))
     return blocks.mean(axis=(2, 4))
@@ -77,10 +80,9 @@ def forward_float(image: np.ndarray, store: WeightStore,
         raise ValueError("the float64 reference needs the float64 weight store")
     in_shape, pool1, pool2 = _input_and_pools(pool_op)
     image = np.asarray(image, dtype=np.float64).reshape(in_shape)
-    out1 = pool_2d(conv_valid(image, store.conv1_w, store.conv1_b),
-                   pool1.window, pool1.stride, pool_op)
+    out1 = pool_2d(conv_valid(image, store.conv1_w, store.conv1_b), pool1.window, pool_op)
     out2 = conv_valid(out1, store.conv2_w, store.conv2_b)
-    out3 = pool_2d(out2, pool2.window, pool2.stride, pool_op)
+    out3 = pool_2d(out2, pool2.window, pool_op)
     out4 = np.maximum(0.0, store.ip1_w @ out3.ravel() + store.ip1_b)
     logits = store.ip2_w @ out4 + store.ip2_b
     stages = dict(zip(STAGE_NAMES, (out1, out2, out3, out4, logits)))
@@ -107,9 +109,8 @@ def _conv_fixed(x: np.ndarray, w: np.ndarray, b: np.ndarray, q: QFormat) -> np.n
     return narrow_array(acc, q)
 
 
-def _pool_fixed(x: np.ndarray, window: int, stride: int, pool_op: str,
-                q: QFormat) -> np.ndarray:
-    blocks = _pool_blocks(x, window, stride)
+def _pool_fixed(x: np.ndarray, window: int, pool_op: str, q: QFormat) -> np.ndarray:
+    blocks = _pool_blocks(x, window)
     if pool_op == MAX_POOL:
         return blocks.max(axis=(2, 4))
     sums = blocks.sum(axis=(2, 4), dtype=np.int64)
@@ -136,9 +137,9 @@ def forward_quantized(image: np.ndarray, store: WeightStore, q: QFormat | None =
     in_shape, pool1, pool2 = _input_and_pools(pool_op)
     image_raw = quantize_array(np.asarray(image).reshape(in_shape), q)
     conv1 = _conv_fixed(image_raw, store.conv1_w, store.conv1_b, q)
-    out1 = _pool_fixed(conv1, pool1.window, pool1.stride, pool_op, q)
+    out1 = _pool_fixed(conv1, pool1.window, pool_op, q)
     out2 = _conv_fixed(out1, store.conv2_w, store.conv2_b, q)
-    out3 = _pool_fixed(out2, pool2.window, pool2.stride, pool_op, q)
+    out3 = _pool_fixed(out2, pool2.window, pool_op, q)
     out4 = np.maximum(0, _fc_fixed(out3.ravel(), store.ip1_w, store.ip1_b, q))
     logits = _fc_fixed(out4, store.ip2_w, store.ip2_b, q)
     stages = dict(zip(STAGE_NAMES, (out1, out2, out3, out4, logits)))

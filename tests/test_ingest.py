@@ -267,6 +267,17 @@ class TestResultsCsv:
         with pytest.raises(ValueError, match=r"bench\.csv:5: duplicate row .*'none'"):
             read_results_csv(path)
 
+    def test_unknown_mode_rejected(self, tmp_path):
+        # the three valid modes are all present, so only the extra row is at fault
+        path = tmp_path / "bench.csv"
+        write_results_csv(sample_records()[:1], path)
+        lines = path.read_text().splitlines()
+        fast = lines[1].split(",")[:2] + ["fast", "1", "0", "0", "0"]
+        path.write_text("\n".join(lines + [",".join(fast)]) + "\n")
+        with pytest.raises(ValueError, match=r"bench\.csv:5: unknown mode 'fast'; "
+                                             r"expected none/unroll/simd"):
+            read_results_csv(path)
+
 
 class TestOtherCsv:
     def test_accel_csv(self, tmp_path):

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +16,25 @@ Q = QFormat(16, 8)
 
 EXPECTED_MACS = {"conv_pool1": 288_000, "conv2": 1_600_000, "pool2": 0,
                  "ip1_relu": 400_000, "ip2": 5_000}
+
+
+def engine_imports(source: str) -> list[str]:
+    """Modules of the engine (kernelpipe.pipeline, kernelpipe.ocl and their
+    submodules) that a kernelpipe module's source imports."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = "kernelpipe" + (f".{base}" if base else "")
+            modules = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [m for m in modules for engine in ("kernelpipe.pipeline", "kernelpipe.ocl")
+                  if m == engine or m.startswith(f"{engine}.")]
+    return found
 
 
 def store_with(**arrays) -> WeightStore:
@@ -75,11 +97,11 @@ class TestStageExamples:
         # one window holding {1,2,3,4}: max pools to 4, average to 2.5
         from kernelpipe.reference import _pool_fixed, pool_2d
         window = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-        assert pool_2d(window, 2, 2, "max")[0, 0, 0] == 4.0
-        assert pool_2d(window, 2, 2, AVG_POOL)[0, 0, 0] == 2.5
+        assert pool_2d(window, 2, "max")[0, 0, 0] == 4.0
+        assert pool_2d(window, 2, AVG_POOL)[0, 0, 0] == 2.5
         raw = (window * 256).astype(np.int64)
-        assert _pool_fixed(raw, 2, 2, "max", Q)[0, 0, 0] == 4 * 256
-        assert _pool_fixed(raw, 2, 2, AVG_POOL, Q)[0, 0, 0] == 640  # 2.5
+        assert _pool_fixed(raw, 2, "max", Q)[0, 0, 0] == 4 * 256
+        assert _pool_fixed(raw, 2, AVG_POOL, Q)[0, 0, 0] == 640  # 2.5
 
     def test_ip1_relu_bias_clamps(self, image42):
         result = pipeline.forward(image42, store_with(ip1_b=np.full(500, -1.0)).quantize(Q))
@@ -115,6 +137,26 @@ class TestBitExactness:
         via_fixed, _ = reference.forward_quantized(image, fixed42)
         via_float, _ = reference.forward_quantized(image, store42, Q)
         assert np.array_equal(via_fixed, via_float)
+
+
+class TestReferenceIndependence:
+    """The bit-exact check compares two arithmetics only while the reference
+    shares no code with the engine."""
+
+    def test_reference_imports_nothing_from_engine(self):
+        source = Path(reference.__file__).read_text(encoding="utf-8")
+        assert engine_imports(source) == []
+
+    @pytest.mark.parametrize("line", [
+        "import kernelpipe.pipeline",
+        "from kernelpipe import ocl",
+        "from kernelpipe.ocl.kernel import execute_kernel",
+        "from .pipeline import _lowered_conv",
+        "from . import pipeline",
+        "from .ocl import Buffer",
+    ])
+    def test_every_import_form_is_caught(self, line):
+        assert engine_imports(line)
 
 
 class TestModeInvariance:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from kernelpipe.netdef import (
@@ -9,14 +11,16 @@ from kernelpipe.netdef import (
     conv,
     fully_connected,
     infer_shapes,
+    layer_weights,
     lenet5_spec,
     pool,
     relu,
     stage_io_shapes,
 )
 from kernelpipe.ocl import NdRange
+from kernelpipe.perf import kernel_footprint
 from kernelpipe.pipeline import stage_ndranges
-from kernelpipe.tensors import Shape
+from kernelpipe.tensors import QFormat, Shape
 from kernelpipe.weights import WEIGHT_SHAPES
 
 
@@ -68,6 +72,27 @@ class TestLenet5Spec:
             assert ndranges == expected
             assert sum(nd.total_items for nd in ndranges.values()) == 122
 
+    def test_layer_weights_match_weight_shapes(self):
+        blocks = layer_weights(lenet5_spec())
+        assert [block and block[0] for block in blocks] == [
+            "conv1", None, "conv2", None, "ip1", None, "ip2"]
+        for name, w in filter(None, blocks):
+            assert WEIGHT_SHAPES[f"{name}_w"] == w
+            assert WEIGHT_SHAPES[f"{name}_b"] == (w[0],)
+        assert len(WEIGHT_SHAPES) == 2 * sum(map(bool, blocks))
+
+    def test_layer_weights_give_footprint_macs(self):
+        # one MAC per output element and weight-row entry, summed per stage
+        spec = lenet5_spec()
+        outs, blocks = infer_shapes(spec), layer_weights(spec)
+        expected = {"conv_pool1": 288_000, "conv2": 1_600_000, "pool2": 0,
+                    "ip1_relu": 400_000, "ip2": 5_000}
+        for name, start, end in spec.stage_grouping:
+            macs = sum(outs[i].element_count * math.prod(blocks[i][1][1:])
+                       for i in range(start, end) if blocks[i])
+            assert macs == expected[name]
+            assert kernel_footprint(spec, name, QFormat(16, 8)).macs == expected[name]
+
     def test_pool_op_flag(self):
         assert lenet5_spec().layers[1].pool_op == MAX_POOL
         assert lenet5_spec(AVG_POOL).layers[1].pool_op == AVG_POOL
@@ -82,7 +107,7 @@ class TestInferShapes:
     def test_kernel_equals_input(self):
         spec = NetworkSpec(
             input_shape=Shape(1, 5, 5),
-            layers=(conv(20, 5), pool(1, 1), conv(20, 1), pool(1, 1),
+            layers=(conv(20, 5), pool(1), conv(20, 1), pool(1),
                     fully_connected(5), relu(), fully_connected(2)),
             stage_grouping=(("conv_pool1", 0, 2), ("conv2", 2, 3), ("pool2", 3, 4),
                             ("ip1_relu", 4, 6), ("ip2", 6, 7)),
@@ -92,13 +117,28 @@ class TestInferShapes:
     def test_window_exceeding_input_names_layer(self):
         spec = NetworkSpec(
             input_shape=Shape(1, 4, 4),
-            layers=(conv(20, 5), pool(1, 1), conv(20, 1), pool(1, 1),
+            layers=(conv(20, 5), pool(1), conv(20, 1), pool(1),
                     fully_connected(5), relu(), fully_connected(2)),
             stage_grouping=(("conv_pool1", 0, 2), ("conv2", 2, 3), ("pool2", 3, 4),
                             ("ip1_relu", 4, 6), ("ip2", 6, 7)),
         )
         with pytest.raises(ShapeInferenceError, match="layer 0"):
             infer_shapes(spec)
+
+    def test_pool_not_tiling_input_names_layer(self):
+        # a 2x2 pool over conv1's 5x5 maps: rejected by shape inference, so
+        # nothing that sizes buffers or launches kernels gets a spec past it
+        spec = NetworkSpec(
+            input_shape=Shape(1, 9, 9),
+            layers=(conv(20, 5), pool(2), conv(20, 1), pool(1),
+                    fully_connected(5), relu(), fully_connected(2)),
+            stage_grouping=(("conv_pool1", 0, 2), ("conv2", 2, 3), ("pool2", 3, 4),
+                            ("ip1_relu", 4, 6), ("ip2", 6, 7)),
+        )
+        for derive in (infer_shapes, stage_io_shapes, stage_ndranges, layer_weights):
+            with pytest.raises(ShapeInferenceError,
+                               match=r"layer 1 \(pool 2x2\) does not tile input 5x5"):
+                derive(spec)
 
     def test_deterministic(self):
         assert infer_shapes(lenet5_spec()) == infer_shapes(lenet5_spec())
@@ -127,6 +167,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             conv(0, 5)
         with pytest.raises(ValueError):
-            pool(2, 2, "median")
+            pool(2, "median")
         with pytest.raises(ValueError):
             fully_connected(0)
