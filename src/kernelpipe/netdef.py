@@ -91,12 +91,6 @@ class NetworkSpec:
         if cursor != len(self.layers):
             raise ValueError("stage grouping does not cover all layers")
 
-    def stage_layers(self, stage: str) -> tuple[LayerSpec, ...]:
-        for name, start, end in self.stage_grouping:
-            if name == stage:
-                return self.layers[start:end]
-        raise KeyError(stage)
-
 
 def lenet5_spec(pool_op: str = MAX_POOL) -> NetworkSpec:
     """The canonical 28x28 digit classifier: two conv/pool pairs, then an

@@ -17,6 +17,8 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .memory import Buffer, PRIVATE, AccessScope, RegionHandle, CONSTANT, LOCAL
 from .ndrange import NdRange
 
@@ -65,8 +67,9 @@ class KernelDef:
     """A named body plus its region bindings and parallelism mode.
 
     ``bindings`` maps region names to global/constant buffers shared by all
-    work-items.  ``local_specs``/``private_specs`` map names to element
-    counts allocated fresh per work-group / per work-item (int64-backed).
+    work-items.  ``local_specs``/``private_specs`` map names to positive
+    element counts allocated fresh per work-group / per work-item
+    (int64-backed).  A region name may appear in only one of the three.
     """
 
     name: str
@@ -84,6 +87,17 @@ class KernelDef:
                 raise ValueError(
                     f"binding {name!r}: local/private regions are declared via specs"
                 )
+        seen = set(self.bindings)
+        for kind, specs in (("local", self.local_specs), ("private", self.private_specs)):
+            for name, count in specs.items():
+                if name in seen:
+                    raise ValueError(f"{kind} region {name!r} is declared more than once")
+                seen.add(name)
+                positive_int = (isinstance(count, (int, np.integer))
+                                and not isinstance(count, bool) and count >= 1)
+                if not positive_int:
+                    raise ValueError(f"{kind} region {name!r}: element count must be "
+                                     f"a positive int, got {count!r}")
 
 
 class WorkItemCtx:

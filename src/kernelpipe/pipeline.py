@@ -13,12 +13,17 @@ Geometry and weights come from :mod:`kernelpipe.netdef`: each kernel takes
 its conv kernel edge (stride 1) and its pool window and op (non-overlapping)
 from its stage's layers, and reads the weight block that
 :func:`~kernelpipe.netdef.layer_weights` gives the stage's first layer.
-Launch geometry: one work-item per output map (20 / 50 / 50 / 1 / 1), in
-work-groups of one, so compute-unit replication still permutes the
-schedule.  Each work-item computes its whole map in array arithmetic: a
-convolution is lowered to one integer matmul over stacked shifted slices,
-pooling takes one strided slice per window offset, and a fully-connected
-layer is one matrix-vector product.
+Launch geometry: one work-item per output map (20 / 50 / 50 / 1 / 1).  A
+conv stage runs in work-groups of 10 (2 and 5 groups) that share one local
+region, as the paper's processing units share BlockRAM: local item 0 reads
+the stage input from global memory once, runs the overflow check, and stages
+the stacked shifted slices as a (taps, positions) matrix; after a barrier
+every item reduces that matrix with its own filter in one integer matmul.
+Other stages run in work-groups of one.  Compute-unit replication reorders
+a stage's groups only when some unit gets two or more of them: conv2's five
+under two to four units, never conv_pool1's two.  Pooling takes one strided
+slice per window offset, and a fully-connected layer is one matrix-vector
+product.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .ocl import Buffer, CommandQueue, KernelDef, NdRange, ParallelMode
 from .reference import winner_digit
 from .tensors import (
     QFormat,
+    Shape,
     Tensor,
     accumulation_is_static_safe,
     check_accumulation_bound,
@@ -44,11 +50,22 @@ from .tensors import (
 from .weights import WeightStore
 
 
+#: Work-items per work-group of a conv stage (shrunk to divide its map count).
+CONV_GROUP_SIZE = 10
+
+
 def stage_ndranges(spec: NetworkSpec) -> dict[str, NdRange]:
     """Each stage's launch space: one work-item per output plane (a
-    fully-connected output vector is one plane), in work-groups of one."""
-    return {name: NdRange((math.prod(out.dims[:-2]),), (1,))
-            for name, (_, out) in stage_io_shapes(spec).items()}
+    fully-connected output vector is one plane).  A conv stage's items share
+    one staged input per work-group of ``gcd(maps, CONV_GROUP_SIZE)``; every
+    other stage runs in work-groups of one."""
+    result = {}
+    io = stage_io_shapes(spec)
+    for name, start, _ in spec.stage_grouping:
+        items = math.prod(io[name][1].dims[:-2])
+        group = math.gcd(items, CONV_GROUP_SIZE) if spec.layers[start].kind == "conv" else 1
+        result[name] = NdRange((items,), (group,))
+    return result
 
 
 @dataclass(frozen=True)
@@ -81,13 +98,14 @@ class ForwardResult:
 
 
 def _overflow_check(q: QFormat, w: np.ndarray, b: np.ndarray):
-    """Per-work-item accumulator-overflow check for a stage whose dot
-    products each run over one row of ``w`` (``w[0].size`` taps).
+    """Accumulator-overflow check for a stage whose dot products each run
+    over one row of ``w`` (``w[0].size`` taps).
 
     None when the format and actual weight magnitudes prove overflow
     impossible; otherwise a function that raises
     :class:`~kernelpipe.tensors.FixedPointOverflowError` when the input
-    values a work-item read could overflow its accumulator.
+    values a kernel read (once per conv work-group, once per
+    fully-connected work-item) could overflow an accumulator.
     """
     taps = w[0].size
     wmax = int(np.abs(w).max(initial=0))
@@ -114,39 +132,40 @@ def _pool_plane(pool: LayerSpec, q: QFormat):
     return reduce
 
 
-def _lowered_conv(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Valid stride-1 convolution of x (C, H, W) with one filter w (C, k, k),
-    no bias: the shifted input slices stacked into a (taps, positions)
-    matrix and reduced by one integer matmul."""
-    k = w.shape[-1]
-    oh, ow = x.shape[1] - k + 1, x.shape[2] - k + 1
-    cols = np.stack([x[:, dy:dy + oh, dx:dx + ow] for dy in range(k) for dx in range(k)],
-                    axis=1)
-    return (w.reshape(-1) @ cols.reshape(w.size, oh * ow)).reshape(oh, ow)
-
-
-def _make_conv(layers, q: QFormat, check):
+def _make_conv(layers, inp: Shape, q: QFormat, check):
     """Stride-1 valid convolution, fused with pooling when the stage has a
-    pool layer: work-item m reads the whole input, filter m and bias m,
-    narrows its conv map, pools it if fused, and writes output map m."""
+    pool layer.  Local item 0 reads the whole input once per work-group and
+    stages its shifted slices in the local region ``cols``; after the
+    barrier, work-item m reduces them with filter m and bias m, narrows its
+    conv map, pools it if fused, and writes output map m."""
     pool = _pool_plane(layers[1], q) if len(layers) > 1 else None
     frac = q.frac_bits
+    k = layers[0].kernel
+    oh, ow = (n - k + 1 for n in inp.dims[1:])
+    taps = inp.dims[0] * k * k
 
     def body(ctx):
         (m,) = ctx.global_id
-        x = ctx.regions["src"].read(Ellipsis)
+        cols = ctx.regions["cols"]
+        if ctx.local_id == (0,):
+            x = ctx.regions["src"].read(Ellipsis)
+            if check:
+                check(x)
+            cols.write(Ellipsis, np.stack(
+                [x[:, dy:dy + oh, dx:dx + ow] for dy in range(k) for dx in range(k)],
+                axis=1).reshape(-1))
+        yield
         w = ctx.regions["wts"].read(m)
         b = ctx.regions["bias"].read(m)
-        if check:
-            check(x)
-        conv = narrow_array(_lowered_conv(x, w) + (int(b) << frac), q)
+        conv = w.reshape(-1) @ cols.read(Ellipsis).reshape(taps, oh * ow)
+        conv = narrow_array(conv.reshape(oh, ow) + (int(b) << frac), q)
         ctx.regions["dst"].write(m, pool(conv) if pool else conv)
         ctx.count_macs(conv.size * w.size)
 
-    return body
+    return body, {"cols": taps * oh * ow}
 
 
-def _make_pool(layers, q: QFormat, check):
+def _make_pool(layers, inp: Shape, q: QFormat, check):
     (pool,) = layers
     reduce = _pool_plane(pool, q)
 
@@ -154,10 +173,10 @@ def _make_pool(layers, q: QFormat, check):
         (c,) = ctx.global_id
         ctx.regions["dst"].write(c, reduce(ctx.regions["src"].read(c)))
 
-    return body
+    return body, {}
 
 
-def _make_fc(layers, q: QFormat, check):
+def _make_fc(layers, inp: Shape, q: QFormat, check):
     """The whole fully-connected layer as one work-item: one narrowed
     matrix-vector product, then ReLU when the stage has it."""
     relu = layers[-1].kind == "relu"
@@ -173,11 +192,11 @@ def _make_fc(layers, q: QFormat, check):
         ctx.regions["dst"].write(Ellipsis, np.maximum(out, 0) if relu else out)
         ctx.count_macs(w.size)
 
-    return body
+    return body, {}
 
 
-#: Kernel factory ``(stage layers, format, overflow check) -> body`` per kind
-#: of a stage's first layer.
+#: Kernel factory ``(stage layers, stage input shape, format, overflow check)
+#: -> (body, local region element counts)`` per kind of a stage's first layer.
 _KERNEL_FACTORIES = {"conv": _make_conv, "pool": _make_pool, "fully_connected": _make_fc}
 
 
@@ -221,8 +240,9 @@ def forward(image: np.ndarray, store: WeightStore, mode: ParallelMode | None = N
             block, _ = blocks[start]
             bindings.update(wts=bufs[f"{block}_w"], bias=bufs[f"{block}_b"])
             check = _overflow_check(q, arrays[f"{block}_w"], arrays[f"{block}_b"])
-        body = _KERNEL_FACTORIES[layers[0].kind](layers, q, check)
-        kernels.append(KernelDef(name, body, mode=mode, bindings=bindings))
+        body, local_specs = _KERNEL_FACTORIES[layers[0].kind](layers, io[name][0], q, check)
+        kernels.append(KernelDef(name, body, mode=mode, bindings=bindings,
+                                 local_specs=local_specs))
         src = bindings["dst"]
 
     # Scan the weights (the overflow checks above) before the transfers copy

@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from kernelpipe import fixtures, pipeline, reference
 from kernelpipe.netdef import AVG_POOL, MAX_POOL, infer_shapes, lenet5_spec
-from kernelpipe.ocl import ParallelMode
+from kernelpipe.ocl import Buffer, ParallelMode
 from kernelpipe.perf import kernel_footprint
 from kernelpipe.tensors import FixedPointOverflowError, QFormat, quantize_array
 from kernelpipe.weights import WEIGHT_SHAPES, WeightStore, zero_weights
@@ -192,6 +193,37 @@ class TestCountsAndShapes:
             assert stage.bytes_written == fp.bytes_written, stage.name
             assert stage.macs == fp.macs, stage.name
 
+    @pytest.mark.parametrize("q", [QFormat(8, 4), Q, QFormat(32, 24)], ids=str)
+    @pytest.mark.parametrize("pool_op", [MAX_POOL, AVG_POOL])
+    @pytest.mark.parametrize("mode", [ParallelMode(), ParallelMode("simd", 8, cu_count=3)],
+                             ids=str)
+    def test_invariants_across_modes(self, store42, image42, q, pool_op, mode):
+        # counters equal the analytic footprint and values equal the
+        # reference in every format, pool op and parallel mode
+        spec = lenet5_spec(pool_op)
+        result = pipeline.forward(image42, store42.quantize(q), mode=mode, pool_op=pool_op)
+        for stage in result.stages:
+            fp = kernel_footprint(spec, stage.name, q)
+            assert (stage.bytes_read, stage.bytes_written, stage.macs) == (
+                fp.bytes_read, fp.bytes_written, fp.macs), stage.name
+        expected, _ = reference.forward_quantized(image42, store42, q, pool_op=pool_op)
+        assert np.array_equal(result.raw_logits, expected)
+
+    def test_conv_input_read_once_per_work_group(self, fixed42, image42, monkeypatch):
+        # conv_pool1 runs 2 groups over the image and conv2 5 groups over
+        # conv_pool1's output; local item 0 of each group reads its input
+        reads = Counter()
+        read = Buffer.read
+
+        def counting_read(self, key):
+            reads[self.name] += 1
+            return read(self, key)
+
+        monkeypatch.setattr(Buffer, "read", counting_read)
+        pipeline.forward(image42, fixed42)
+        assert reads["input"] == 2
+        assert reads["out_conv_pool1"] == 5
+
 
 class TestReferenceProperties:
     def test_zero_weights_zero_logits(self, image42):
@@ -225,6 +257,21 @@ class TestReferenceProperties:
                 pipeline.forward(image, store.quantize(q))
             with pytest.raises(FixedPointOverflowError):
                 reference.forward_quantized(image, store, q)
+
+    @pytest.mark.parametrize("cu_count", [1, 3])
+    def test_overflow_guard_trips_in_staged_conv2(self, cu_count):
+        # conv1 (all-one filters, bias 10) is statically safe at Q32.24 and
+        # gives conv2 inputs of 35 over an all-one image; 500 taps of
+        # weight 1 then reach 17500 * 2**48 > 2**62 in conv2's accumulator
+        q = QFormat(32, 24)
+        store = store_with(conv1_w=np.ones((20, 1, 5, 5)), conv1_b=np.full(20, 10.0),
+                           conv2_w=np.ones((50, 20, 5, 5)))
+        image = np.ones((1, 28, 28))
+        conv2_trip = f"accumulation of 500 taps with \\|a\\|<={35 << 24},"
+        with pytest.raises(FixedPointOverflowError, match=conv2_trip):
+            pipeline.forward(image, store.quantize(q), mode=ParallelMode(cu_count=cu_count))
+        with pytest.raises(FixedPointOverflowError, match=conv2_trip):
+            reference.forward_quantized(image, store, q)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(8, 32).flatmap(

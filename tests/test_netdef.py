@@ -18,6 +18,7 @@ from kernelpipe.netdef import (
     stage_io_shapes,
 )
 from kernelpipe.ocl import NdRange
+from kernelpipe.ocl.kernel import group_schedule
 from kernelpipe.perf import kernel_footprint
 from kernelpipe.pipeline import stage_ndranges
 from kernelpipe.tensors import QFormat, Shape
@@ -37,7 +38,9 @@ class TestLenet5Spec:
 
     def test_second_conv_has_50_maps(self):
         spec = lenet5_spec()
-        assert spec.stage_layers("conv2")[0].out_maps == 50
+        (start,) = [start for name, start, _ in spec.stage_grouping if name == "conv2"]
+        assert spec.layers[start].kind == "conv"
+        assert spec.layers[start].out_maps == 50
 
     def test_last_stage_outputs_10(self):
         spec = lenet5_spec()
@@ -61,9 +64,10 @@ class TestLenet5Spec:
         assert list(WEIGHT_SHAPES.items()) == list(expected.items())
 
     def test_stage_ndranges_from_spec(self):
-        # one work-item per output map; a fully-connected vector is one map
-        expected = {"conv_pool1": NdRange((20,), (1,)),
-                    "conv2": NdRange((50,), (1,)),
+        # one work-item per output map; a fully-connected vector is one map;
+        # conv stages share a staged input per work-group of 10
+        expected = {"conv_pool1": NdRange((20,), (10,)),
+                    "conv2": NdRange((50,), (10,)),
                     "pool2": NdRange((50,), (1,)),
                     "ip1_relu": NdRange((1,), (1,)),
                     "ip2": NdRange((1,), (1,))}
@@ -71,6 +75,18 @@ class TestLenet5Spec:
             ndranges = stage_ndranges(lenet5_spec(pool_op))
             assert ndranges == expected
             assert sum(nd.total_items for nd in ndranges.values()) == 122
+
+    def test_conv_groups_scheduled_across_compute_units(self):
+        # three CUs take contiguous shares of a conv stage's groups and run
+        # them round-robin: conv2's five groups come out permuted, while
+        # conv_pool1's two (one per CU) keep their id order
+        ndranges = stage_ndranges(lenet5_spec())
+        for name in ("conv_pool1", "conv2"):
+            nd = ndranges[name]
+            assert nd.num_groups >= 2
+            assert sorted(group_schedule(nd, 3)) == list(nd.group_ids()), name
+        conv2 = ndranges["conv2"]
+        assert group_schedule(conv2, 3) != group_schedule(conv2, 1)
 
     def test_layer_weights_match_weight_shapes(self):
         blocks = layer_weights(lenet5_spec())

@@ -353,6 +353,24 @@ class TestRegionAccess:
         run_single(kernel, NdRange((8,), (4,)))
         assert out.array.tolist() == [i * 10 for i in range(8)]
 
+    @pytest.mark.parametrize("name,specs", [
+        ("out", {"local_specs": {"out": 4}}),
+        ("out", {"private_specs": {"out": 4}}),
+        ("scratch", {"local_specs": {"scratch": 4}, "private_specs": {"scratch": 4}}),
+    ])
+    def test_spec_shadowing_a_region_rejected(self, name, specs):
+        # a local/private spec named like a binding would hide the global
+        # buffer from every work-item
+        out = Buffer("out", 4)
+        with pytest.raises(ValueError, match=f"region '{name}' is declared more than once"):
+            KernelDef("k", lambda ctx: None, bindings={"out": out}, **specs)
+
+    @pytest.mark.parametrize("kind", ["local_specs", "private_specs"])
+    @pytest.mark.parametrize("count", [0, -1, 2.0, True, "4"])
+    def test_spec_count_must_be_positive_int(self, kind, count):
+        with pytest.raises(ValueError, match="region 'scratch'.*positive int"):
+            KernelDef("k", lambda ctx: None, **{kind: {"scratch": count}})
+
 
 class TestAccessAccounting:
     def test_load_store_call_counting(self):
