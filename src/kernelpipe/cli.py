@@ -163,7 +163,7 @@ def cmd_sweep(args) -> int:
     else:
         store = fixtures.synthetic_weights(args.seed)
     images = _load_images(args)
-    formats = _parse_grid(args.grid)
+    formats = sweep.default_sweep_grid() if args.grid is None else _parse_grid(args.grid)
     results = sweep.sweep_precision(store, images, formats, pool_op=_pool_op(args))
     out_path = args.out or "sweep.csv"
     ingest.write_sweep_csv(results, out_path)
@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_image_source(p, count):
         # text images or an IDX pair, else seeded synthetic images; and the pool op
         source = p.add_mutually_exclusive_group()
-        source.add_argument("--images", nargs="*", default=[], help="text image files")
+        source.add_argument("--images", nargs="+", help="text image files")
         source.add_argument("--mnist", nargs=2, metavar=("IMAGES", "LABELS"),
                             help="IDX image/label pair")
         p.add_argument("--count", type=int, default=count,
@@ -257,8 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="precision-reduction study")
     p.add_argument("--weights", help="text weight file (default: synthetic)")
     add_image_source(p, count=20)
-    p.add_argument("--grid", default="8:4,12:6,16:8,24:12,32:16",
-                   help="comma-separated total:frac bit pairs")
+    p.add_argument("--grid", help="comma-separated total:frac bit pairs")
     p.add_argument("--out", help="sweep CSV path (default sweep.csv)")
     p.set_defaults(func=cmd_sweep)
 

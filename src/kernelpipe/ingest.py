@@ -305,13 +305,15 @@ def read_sweep_csv(path) -> list[SweepResult]:
         if header != SWEEP_CSV_HEADER:
             raise ValueError(f"{path}: expected header {','.join(SWEEP_CSV_HEADER)}")
         for row in reader:
-            results.append(SweepResult(
-                qformat=QFormat(int(row[0]), int(row[1])),
-                max_abs_logit_error=float(row[2]),
-                mean_abs_logit_error=float(row[3]),
-                argmax_agreement=float(row[4]),
-                n_samples=int(row[5]),
-            ))
+            line = reader.line_num
+            if len(row) != len(SWEEP_CSV_HEADER):
+                raise ValueError(f"{path}:{line}: malformed row {row!r}")
+            try:
+                qformat, n = QFormat(int(row[0]), int(row[1])), int(row[5])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line}: {exc}") from None
+            max_err, mean_err, agreement = (_parse_float(v, path, line) for v in row[2:5])
+            results.append(SweepResult(qformat, max_err, mean_err, agreement, n))
     return results
 
 

@@ -121,9 +121,10 @@ def test_criterion_3_oracle_equivalence_100_cases():
         agreements = 0
         for i in range(100):
             store = fixtures.synthetic_weights(1000 + i)
+            fixed = store.quantize(Q)
             image = fixtures.synthetic_images(2000 + i, 1)[0]
-            engine = pipeline.forward(image, store.quantize(Q))
-            raw_logits, _ = reference.forward_quantized(image, store, Q)
+            engine = pipeline.forward(image, fixed)
+            raw_logits, _ = reference.forward_quantized(image, fixed)
             assert np.array_equal(engine.raw_logits, raw_logits), f"case {i}"
             float_logits, _ = reference.forward_float(image, store)
             agreements += engine.winner == reference.winner_digit(float_logits)

@@ -21,6 +21,7 @@ from kernelpipe.perf import (
     pipeline_footprints,
     platform_catalog,
 )
+from kernelpipe.sweep import default_sweep_grid
 from kernelpipe.tensors import QFormat
 
 PUBLISHED_TIMES = {
@@ -196,6 +197,11 @@ class TestSweep:
         rc = main(["sweep", "--count", "1", "--grid", ""])
         assert rc == 1
 
+    def test_default_grid_is_the_sweep_default(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--count", "1", "--out", str(out)]) == 0
+        assert [r.qformat for r in read_sweep_csv(out)] == default_sweep_grid()
+
     def test_grid_cardinality(self, tmp_path):
         out = tmp_path / "sweep.csv"
         rc = main(["sweep", "--count", "1", "--grid", "8:4,16:8", "--out", str(out)])
@@ -323,6 +329,9 @@ class TestUsageErrors:
         # two image sources at once
         ["classify", "--weights", "{weights}", "--images", "{image}",
          "--mnist", "nofile", "nofile"],
+        # an image option without paths
+        ["classify", "--weights", "{weights}", "--images"],
+        ["sweep", "--count", "1", "--grid", "16:8", "--images"],
         # a missing required option, a malformed value
         ["classify", "--count", "1"],
         ["stream", "--platform", "altera", "--interval", "abc"],

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -300,6 +301,19 @@ class TestOtherCsv:
         write_sweep_csv(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.read_text().splitlines()[0] == "total_bits,frac_bits,max_err,mean_err,agreement,n"
+
+    @pytest.mark.parametrize("row, message", [
+        ("16,8,0.5,0.25", "malformed row"),
+        ("16,8,nan,inf,2.5,-3", "finite decimal float, got 'nan'"),
+        ("16,8,0.5,0.25,1.0,many", "invalid literal for int() with base 10: 'many'"),
+        ("16,16,0.5,0.25,1.0,3", "frac_bits must be in 0..total_bits-1"),
+    ])
+    def test_bad_sweep_row_names_file_and_line(self, row, message, tmp_path):
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv([SweepResult(QFormat(16, 8), 0.125, 0.03125, 0.97, 100)], path)
+        path.write_text(path.read_text() + row + "\n")
+        with pytest.raises(ValueError, match=rf"sweep\.csv:3: .*{re.escape(message)}"):
+            read_sweep_csv(path)
 
 
 class TestConfig:

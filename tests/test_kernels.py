@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kernelpipe import fixtures, pipeline, reference
+from kernelpipe import fixtures, netdef, pipeline, reference
 from kernelpipe.netdef import AVG_POOL, MAX_POOL, infer_shapes, lenet5_spec
 from kernelpipe.ocl import Buffer, ParallelMode
 from kernelpipe.perf import kernel_footprint
@@ -98,11 +98,12 @@ class TestStageExamples:
         # one window holding {1,2,3,4}: max pools to 4, average to 2.5
         from kernelpipe.reference import _pool_fixed, pool_2d
         window = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-        assert pool_2d(window, 2, "max")[0, 0, 0] == 4.0
-        assert pool_2d(window, 2, AVG_POOL)[0, 0, 0] == 2.5
+        max_pool, avg_pool = netdef.pool(2, MAX_POOL), netdef.pool(2, AVG_POOL)
+        assert pool_2d(window, max_pool)[0, 0, 0] == 4.0
+        assert pool_2d(window, avg_pool)[0, 0, 0] == 2.5
         raw = (window * 256).astype(np.int64)
-        assert _pool_fixed(raw, 2, "max", Q)[0, 0, 0] == 4 * 256
-        assert _pool_fixed(raw, 2, AVG_POOL, Q)[0, 0, 0] == 640  # 2.5
+        assert _pool_fixed(raw, max_pool, Q)[0, 0, 0] == 4 * 256
+        assert _pool_fixed(raw, avg_pool, Q)[0, 0, 0] == 640  # 2.5
 
     def test_ip1_relu_bias_clamps(self, image42):
         result = pipeline.forward(image42, store_with(ip1_b=np.full(500, -1.0)).quantize(Q))
@@ -119,25 +120,26 @@ class TestStageExamples:
 
 
 class TestBitExactness:
-    def test_stages_match_quantized_reference(self, store42, fixed42, images42):
+    def test_stages_match_quantized_reference(self, fixed42, images42):
         for image in images42:
             result = pipeline.forward(image, fixed42)
-            raw_logits, stages = reference.forward_quantized(image, store42, Q)
+            raw_logits, stages = reference.forward_quantized(image, fixed42)
             assert np.array_equal(result.raw_logits, raw_logits)
             for stage in result.stages:
                 assert np.array_equal(stage.output.values, stages[stage.name]), stage.name
 
-    def test_average_pooling_matches_too(self, store42, fixed42, images42):
+    def test_average_pooling_matches_too(self, fixed42, images42):
         image = images42[0]
         result = pipeline.forward(image, fixed42, pool_op=AVG_POOL)
-        raw_logits, _ = reference.forward_quantized(image, store42, Q, pool_op=AVG_POOL)
+        raw_logits, _ = reference.forward_quantized(image, fixed42, pool_op=AVG_POOL)
         assert np.array_equal(result.raw_logits, raw_logits)
 
-    def test_fixed_store_and_float_store_agree(self, store42, fixed42, images42):
-        image = images42[1]
-        via_fixed, _ = reference.forward_quantized(image, fixed42)
-        via_float, _ = reference.forward_quantized(image, store42, Q)
-        assert np.array_equal(via_fixed, via_float)
+    def test_quantized_reference_rejects_float_store(self, store42, image42):
+        # like the engine, the quantized reference takes a fixed-point store only
+        with pytest.raises(ValueError, match="quantize the weight store"):
+            reference.forward_quantized(image42, store42)
+        with pytest.raises(TypeError):  # the format comes from the store
+            reference.forward_quantized(image42, store42, Q)
 
 
 class TestReferenceIndependence:
@@ -201,12 +203,13 @@ class TestCountsAndShapes:
         # counters equal the analytic footprint and values equal the
         # reference in every format, pool op and parallel mode
         spec = lenet5_spec(pool_op)
-        result = pipeline.forward(image42, store42.quantize(q), mode=mode, pool_op=pool_op)
+        fixed = store42.quantize(q)
+        result = pipeline.forward(image42, fixed, mode=mode, pool_op=pool_op)
         for stage in result.stages:
             fp = kernel_footprint(spec, stage.name, q)
             assert (stage.bytes_read, stage.bytes_written, stage.macs) == (
                 fp.bytes_read, fp.bytes_written, fp.macs), stage.name
-        expected, _ = reference.forward_quantized(image42, store42, q, pool_op=pool_op)
+        expected, _ = reference.forward_quantized(image42, fixed, pool_op=pool_op)
         assert np.array_equal(result.raw_logits, expected)
 
     def test_conv_input_read_once_per_work_group(self, fixed42, image42, monkeypatch):
@@ -253,10 +256,11 @@ class TestReferenceProperties:
                  (store_with(conv1_w=w, conv1_b=b), np.full((1, 28, 28), -1e12),
                   QFormat(32, 5)))
         for store, image, q in cases:
+            fixed = store.quantize(q)
             with pytest.raises(FixedPointOverflowError):
-                pipeline.forward(image, store.quantize(q))
+                pipeline.forward(image, fixed)
             with pytest.raises(FixedPointOverflowError):
-                reference.forward_quantized(image, store, q)
+                reference.forward_quantized(image, fixed)
 
     @pytest.mark.parametrize("cu_count", [1, 3])
     def test_overflow_guard_trips_in_staged_conv2(self, cu_count):
@@ -264,14 +268,14 @@ class TestReferenceProperties:
         # gives conv2 inputs of 35 over an all-one image; 500 taps of
         # weight 1 then reach 17500 * 2**48 > 2**62 in conv2's accumulator
         q = QFormat(32, 24)
-        store = store_with(conv1_w=np.ones((20, 1, 5, 5)), conv1_b=np.full(20, 10.0),
-                           conv2_w=np.ones((50, 20, 5, 5)))
+        fixed = store_with(conv1_w=np.ones((20, 1, 5, 5)), conv1_b=np.full(20, 10.0),
+                           conv2_w=np.ones((50, 20, 5, 5))).quantize(q)
         image = np.ones((1, 28, 28))
         conv2_trip = f"accumulation of 500 taps with \\|a\\|<={35 << 24},"
         with pytest.raises(FixedPointOverflowError, match=conv2_trip):
-            pipeline.forward(image, store.quantize(q), mode=ParallelMode(cu_count=cu_count))
+            pipeline.forward(image, fixed, mode=ParallelMode(cu_count=cu_count))
         with pytest.raises(FixedPointOverflowError, match=conv2_trip):
-            reference.forward_quantized(image, store, q)
+            reference.forward_quantized(image, fixed)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(8, 32).flatmap(
@@ -283,14 +287,14 @@ class TestReferenceProperties:
         # wide formats with large weight scales trip the overflow guard;
         # the engine and the reference must agree on when
         q = QFormat(*bits_frac)
-        store = WeightStore(**{n: a * scale for n, a in store42.arrays().items()})
+        fixed = WeightStore(**{n: a * scale for n, a in store42.arrays().items()}).quantize(q)
         try:
-            expected, _ = reference.forward_quantized(images42[0], store, q, pool_op=pool_op)
+            expected, _ = reference.forward_quantized(images42[0], fixed, pool_op=pool_op)
         except FixedPointOverflowError:
             with pytest.raises(FixedPointOverflowError):
-                pipeline.forward(images42[0], store.quantize(q), pool_op=pool_op)
+                pipeline.forward(images42[0], fixed, pool_op=pool_op)
             return
-        result = pipeline.forward(images42[0], store.quantize(q), pool_op=pool_op)
+        result = pipeline.forward(images42[0], fixed, pool_op=pool_op)
         assert np.array_equal(result.raw_logits, expected)
 
     def test_image_shape_validated(self, fixed42):
@@ -305,8 +309,8 @@ class TestReferenceProperties:
         with pytest.raises(ValueError, match="float64 weight store"):
             reference.forward_float(image42, fixed42)
 
-    def test_winner_sequence_matches_reference(self, store42, fixed42, images42):
+    def test_winner_sequence_matches_reference(self, fixed42, images42):
         for image in images42:
             engine = pipeline.forward(image, fixed42)
-            raw, _ = reference.forward_quantized(image, store42, Q)
+            raw, _ = reference.forward_quantized(image, fixed42)
             assert engine.winner == reference.winner_digit(raw)

@@ -1,7 +1,11 @@
+import ast
 import math
+import re
+from pathlib import Path
 
 import pytest
 
+import kernelpipe
 from kernelpipe.netdef import (
     AVG_POOL,
     MAX_POOL,
@@ -186,3 +190,34 @@ class TestValidation:
             pool(2, "median")
         with pytest.raises(ValueError):
             fully_connected(0)
+
+
+#: Weight-block field names (``conv1_w``, ``ip2_b``, ...), which only the
+#: modules that define the network and its store may spell out.
+BLOCK_NAME = re.compile(r"^(conv|ip)\d+_[wb]$")
+BLOCK_NAME_OWNERS = {"netdef.py", "weights.py", "fixtures.py"}
+
+
+def block_names(source: str) -> list[str]:
+    """Attributes and string constants in ``source`` that name a weight block."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            found.append(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.append(node.value)
+    return [name for name in found if BLOCK_NAME.match(name)]
+
+
+class TestNetdefDecides:
+    """Weight blocks are bound by walking the spec, never by name."""
+
+    def test_no_module_names_a_weight_block(self):
+        root = Path(kernelpipe.__file__).parent
+        offenders = {str(path.relative_to(root)): block_names(path.read_text(encoding="utf-8"))
+                     for path in sorted(root.rglob("*.py")) if path.name not in BLOCK_NAME_OWNERS}
+        assert {path: names for path, names in offenders.items() if names} == {}
+
+    @pytest.mark.parametrize("line", ["store.conv1_w @ x", "getattr(store, 'ip2_b')"])
+    def test_every_form_is_caught(self, line):
+        assert block_names(line)
