@@ -33,7 +33,10 @@ SWEEP_CSV_HEADER = ["total_bits", "frac_bits", "max_err", "mean_err", "agreement
 INPUT_SHAPE = lenet5_spec().input_shape
 
 
-class WeightFormatError(ValueError):
+class FileFormatError(ValueError):
+    """A weight, image or CSV text file that does not parse; the message
+    names the file and the line (0 for the file as a whole)."""
+
     def __init__(self, path, line: int, message: str):
         super().__init__(f"{path}:{line}: {message}")
         self.path = str(path)
@@ -49,10 +52,10 @@ def _parse_float(tok: str, path, lineno: int) -> float:
     try:
         value = float(tok)
     except ValueError:
-        raise WeightFormatError(path, lineno,
-                                f"expected a decimal float, got {tok!r}") from None
+        raise FileFormatError(path, lineno,
+                              f"expected a decimal float, got {tok!r}") from None
     if not math.isfinite(value):
-        raise WeightFormatError(path, lineno, f"expected a finite decimal float, got {tok!r}")
+        raise FileFormatError(path, lineno, f"expected a finite decimal float, got {tok!r}")
     return value
 
 
@@ -84,19 +87,19 @@ def load_weights_text(path) -> WeightStore:
         lineno += 1
         name, dim_tokens = fields[0], fields[1:]
         if name not in WEIGHT_SHAPES:
-            raise WeightFormatError(path, header_line,
-                                    f"unknown block {name!r}; expected one of "
-                                    f"{sorted(WEIGHT_SHAPES)}")
+            raise FileFormatError(path, header_line,
+                                  f"unknown block {name!r}; expected one of "
+                                  f"{sorted(WEIGHT_SHAPES)}")
         if name in blocks:
-            raise WeightFormatError(path, header_line, f"duplicate block {name!r}")
+            raise FileFormatError(path, header_line, f"duplicate block {name!r}")
         try:
             dims = tuple(int(tok) for tok in dim_tokens)
         except ValueError:
-            raise WeightFormatError(path, header_line,
-                                    f"expected integer dimensions after {name!r}") from None
+            raise FileFormatError(path, header_line,
+                                  f"expected integer dimensions after {name!r}") from None
         expected = WEIGHT_SHAPES[name]
         if dims != expected:
-            raise WeightFormatError(
+            raise FileFormatError(
                 path, header_line,
                 f"block {name!r} has shape {dims} ({int(np.prod(dims)) if dims else 0} "
                 f"values); expected {expected} ({int(np.prod(expected))} values)")
@@ -106,13 +109,13 @@ def load_weights_text(path) -> WeightStore:
         filled = 0
         while filled < count:
             if lineno >= n_lines:
-                raise WeightFormatError(path, n_lines,
-                                        f"block {name!r} truncated: got {filled} of "
-                                        f"{count} values before end of file")
+                raise FileFormatError(path, n_lines,
+                                      f"block {name!r} truncated: got {filled} of "
+                                      f"{count} values before end of file")
             for tok in lines[lineno].split():
                 if filled >= count:
-                    raise WeightFormatError(path, lineno + 1,
-                                            f"block {name!r} has more than {count} values")
+                    raise FileFormatError(path, lineno + 1,
+                                          f"block {name!r} has more than {count} values")
                 values[filled] = _parse_float(tok, path, lineno + 1)
                 filled += 1
             lineno += 1
@@ -120,8 +123,8 @@ def load_weights_text(path) -> WeightStore:
 
     missing = sorted(set(WEIGHT_SHAPES) - set(blocks))
     if missing:
-        raise WeightFormatError(path, n_lines,
-                                f"missing block(s): {', '.join(missing)}")
+        raise FileFormatError(path, n_lines,
+                              f"missing block(s): {', '.join(missing)}")
     return WeightStore(**blocks)
 
 
@@ -151,10 +154,10 @@ def load_image_text(path) -> np.ndarray:
             values.extend(_parse_float(tok, path, lineno) for tok in line.split())
     pixels = INPUT_SHAPE.element_count
     if len(values) != pixels:
-        raise WeightFormatError(path, 0, f"expected {pixels} pixels, got {len(values)}")
+        raise FileFormatError(path, 0, f"expected {pixels} pixels, got {len(values)}")
     arr = np.array(values).reshape(INPUT_SHAPE.dims)
     if arr.min() < 0.0 or arr.max() > 1.0:
-        raise WeightFormatError(path, 0, "pixel values must lie in [0, 1]")
+        raise FileFormatError(path, 0, "pixel values must lie in [0, 1]")
     return arr
 
 
@@ -252,25 +255,25 @@ def read_results_csv(path) -> list[tuple[str, BenchRecord]]:
         reader = csv.reader(f)
         header = next(reader, None)
         if header != BENCH_CSV_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(BENCH_CSV_HEADER)}")
+            raise FileFormatError(path, 1, f"expected header {','.join(BENCH_CSV_HEADER)}")
         for row in reader:
             line = reader.line_num
             if len(row) != 7:
-                raise ValueError(f"{path}:{line}: malformed row {row!r}")
+                raise FileFormatError(path, line, f"malformed row {row!r}")
             kernel, platform, mode = row[0], row[1], row[2]
             if mode not in MODE_ORDER:
-                raise ValueError(f"{path}:{line}: unknown mode {mode!r}; "
-                                 f"expected {'/'.join(MODE_ORDER)}")
+                raise FileFormatError(path, line, f"unknown mode {mode!r}; "
+                                      f"expected {'/'.join(MODE_ORDER)}")
             modes = groups.setdefault((platform, kernel), {})
             if mode in modes:
-                raise ValueError(f"{path}:{line}: duplicate row for kernel {kernel!r} "
-                                 f"on {platform!r} in mode {mode!r}")
+                raise FileFormatError(path, line, f"duplicate row for kernel {kernel!r} "
+                                      f"on {platform!r} in mode {mode!r}")
             modes[mode] = tuple(_parse_float(v, path, line) for v in row[3:])
     records = []
     for (platform, kernel), modes in groups.items():
         if set(modes) != set(MODE_ORDER):
-            raise ValueError(f"{path}: kernel {kernel!r} on {platform!r} lacks modes "
-                             f"{sorted(set(MODE_ORDER) - set(modes))}")
+            raise FileFormatError(path, 0, f"kernel {kernel!r} on {platform!r} lacks modes "
+                                           f"{sorted(set(MODE_ORDER) - set(modes))}")
         cols = list(zip(*(modes[m] for m in MODE_ORDER)))
         records.append((platform, BenchRecord(
             kernel=kernel, times_ms=cols[0], logic_k=cols[1],
@@ -303,15 +306,15 @@ def read_sweep_csv(path) -> list[SweepResult]:
         reader = csv.reader(f)
         header = next(reader, None)
         if header != SWEEP_CSV_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(SWEEP_CSV_HEADER)}")
+            raise FileFormatError(path, 1, f"expected header {','.join(SWEEP_CSV_HEADER)}")
         for row in reader:
             line = reader.line_num
             if len(row) != len(SWEEP_CSV_HEADER):
-                raise ValueError(f"{path}:{line}: malformed row {row!r}")
+                raise FileFormatError(path, line, f"malformed row {row!r}")
             try:
                 qformat, n = QFormat(int(row[0]), int(row[1])), int(row[5])
             except ValueError as exc:
-                raise ValueError(f"{path}:{line}: {exc}") from None
+                raise FileFormatError(path, line, str(exc)) from None
             max_err, mean_err, agreement = (_parse_float(v, path, line) for v in row[2:5])
             results.append(SweepResult(qformat, max_err, mean_err, agreement, n))
     return results

@@ -26,6 +26,9 @@ MODE_NONE = "none"
 MODE_UNROLL = "unroll"
 MODE_SIMD = "simd"
 
+#: Element types a local or private region may have.
+REGION_DTYPES = (np.int64, np.float64)
+
 
 class BarrierDivergenceError(RuntimeError):
     """A barrier was reached by only a subset of a work-group's items."""
@@ -67,16 +70,18 @@ class KernelDef:
     """A named body plus its region bindings and parallelism mode.
 
     ``bindings`` maps region names to global/constant buffers shared by all
-    work-items.  ``local_specs``/``private_specs`` map names to positive
-    element counts allocated fresh per work-group / per work-item
-    (int64-backed).  A region name may appear in only one of the three.
+    work-items.  ``local_specs``/``private_specs`` map names to
+    ``(element count, dtype)`` pairs, allocated fresh per work-group / per
+    work-item; like OpenCL ``__local`` and ``__private`` arrays, each region
+    has one element type, int64 or float64.  A region name may appear in
+    only one of the three.
     """
 
     name: str
     body: object
     bindings: dict[str, Buffer] = field(default_factory=dict)
-    local_specs: dict[str, int] = field(default_factory=dict)
-    private_specs: dict[str, int] = field(default_factory=dict)
+    local_specs: dict[str, tuple[int, type]] = field(default_factory=dict)
+    private_specs: dict[str, tuple[int, type]] = field(default_factory=dict)
     mode: ParallelMode = field(default_factory=ParallelMode)
 
     def __post_init__(self):
@@ -89,15 +94,22 @@ class KernelDef:
                 )
         seen = set(self.bindings)
         for kind, specs in (("local", self.local_specs), ("private", self.private_specs)):
-            for name, count in specs.items():
+            for name, spec in specs.items():
                 if name in seen:
                     raise ValueError(f"{kind} region {name!r} is declared more than once")
                 seen.add(name)
+                if not (isinstance(spec, tuple) and len(spec) == 2):
+                    raise ValueError(f"{kind} region {name!r}: spec must be "
+                                     f"(element count, dtype), got {spec!r}")
+                count, dtype = spec
                 positive_int = (isinstance(count, (int, np.integer))
                                 and not isinstance(count, bool) and count >= 1)
                 if not positive_int:
                     raise ValueError(f"{kind} region {name!r}: element count must be "
                                      f"a positive int, got {count!r}")
+                if dtype not in REGION_DTYPES:
+                    raise ValueError(f"{kind} region {name!r}: dtype must be int64 or "
+                                     f"float64, got {dtype!r}")
 
 
 class WorkItemCtx:
@@ -149,8 +161,8 @@ def execute_kernel(kdef: KernelDef, nd: NdRange, macs: list):
         regions = shared_regions
         if kdef.local_specs:
             regions = dict(shared_regions)
-            for name, count in kdef.local_specs.items():
-                local_buf = Buffer(name, count, kind=LOCAL, owner_group=group_id)
+            for name, (count, dtype) in kdef.local_specs.items():
+                local_buf = Buffer(name, count, kind=LOCAL, dtype=dtype, owner_group=group_id)
                 regions[name] = RegionHandle(local_buf,
                                              AccessScope("item", group_id=group_id))
         ctxs = []
@@ -159,8 +171,8 @@ def execute_kernel(kdef: KernelDef, nd: NdRange, macs: list):
             item_regions = regions
             if kdef.private_specs:
                 item_regions = dict(regions)
-                for name, count in kdef.private_specs.items():
-                    priv = Buffer(name, count, kind=PRIVATE, owner_item=gid)
+                for name, (count, dtype) in kdef.private_specs.items():
+                    priv = Buffer(name, count, kind=PRIVATE, dtype=dtype, owner_item=gid)
                     item_regions[name] = RegionHandle(
                         priv, AccessScope("item", group_id=group_id, item_id=gid))
             ctxs.append(WorkItemCtx(gid, local_id, group_id, item_regions, macs))

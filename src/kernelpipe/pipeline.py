@@ -6,8 +6,14 @@ writes its outputs back, and consecutive stages are chained in-order through
 completion events.  The engine runs fixed-point weight stores only; float64
 results come from :func:`kernelpipe.reference.forward_float`.  Its arithmetic
 matches :func:`kernelpipe.reference.forward_quantized` bit for bit: exact
-integer accumulation, bias aligned by a left shift, one round-to-nearest-even
-narrowing per output element, saturation instead of wraparound.
+accumulation, bias aligned by a left shift and added in int64, one
+round-to-nearest-even narrowing per output element, saturation instead of
+wraparound.  Each weighted stage decides once per forward, from the format
+and its weight block's largest magnitude
+(:func:`~kernelpipe.tensors.float_dot_is_exact`), whether its dot products
+run in float64, which is exact there and reaches BLAS; otherwise they stay
+int64.  A float stage's weight buffer and local region are float64: the
+transfer casts the raws, and local item 0 casts the stage input once.
 
 Geometry and weights come from :mod:`kernelpipe.netdef`: each kernel takes
 its conv kernel edge (stride 1) and its pool window and op (non-overlapping)
@@ -18,7 +24,7 @@ conv stage runs in work-groups of 10 (2 and 5 groups) that share one local
 region, as the paper's processing units share BlockRAM: local item 0 reads
 the stage input from global memory once, runs the overflow check, and stages
 the stacked shifted slices as a (taps, positions) matrix; after a barrier
-every item reduces that matrix with its own filter in one integer matmul.
+every item reduces that matrix with its own filter in one matmul.
 Other stages run in work-groups of one.  Compute-unit replication reorders
 a stage's groups only when some unit gets two or more of them: conv2's five
 under two to four units, never conv_pool1's two.  Pooling takes one strided
@@ -44,6 +50,7 @@ from .tensors import (
     check_accumulation_bound,
     dequantize_array,
     div_round_even_array,
+    float_dot_is_exact,
     narrow_array,
     quantize_array,
 )
@@ -97,9 +104,10 @@ class ForwardResult:
         raise KeyError(name)
 
 
-def _overflow_check(q: QFormat, w: np.ndarray, b: np.ndarray):
+def _overflow_check(q: QFormat, taps: int, wmax: int, bmax: int):
     """Accumulator-overflow check for a stage whose dot products each run
-    over one row of ``w`` (``w[0].size`` taps).
+    over ``taps`` weights of magnitude up to ``wmax``, plus a bias up to
+    ``bmax``.
 
     None when the format and actual weight magnitudes prove overflow
     impossible; otherwise a function that raises
@@ -107,9 +115,6 @@ def _overflow_check(q: QFormat, w: np.ndarray, b: np.ndarray):
     values a kernel read (once per conv work-group, once per
     fully-connected work-item) could overflow an accumulator.
     """
-    taps = w[0].size
-    wmax = int(np.abs(w).max(initial=0))
-    bmax = int(np.abs(b).max(initial=0))
     if accumulation_is_static_safe(taps, wmax, bmax, q):
         return None
     return lambda x: check_accumulation_bound(taps, int(np.abs(x).max(initial=0)),
@@ -132,12 +137,13 @@ def _pool_plane(pool: LayerSpec, q: QFormat):
     return reduce
 
 
-def _make_conv(layers, inp: Shape, q: QFormat, check):
+def _make_conv(layers, inp: Shape, q: QFormat, check, dot_dtype):
     """Stride-1 valid convolution, fused with pooling when the stage has a
-    pool layer.  Local item 0 reads the whole input once per work-group and
-    stages its shifted slices in the local region ``cols``; after the
-    barrier, work-item m reduces them with filter m and bias m, narrows its
-    conv map, pools it if fused, and writes output map m."""
+    pool layer.  Local item 0 reads the whole input once per work-group,
+    casts it to ``dot_dtype`` and stages its shifted slices in the local
+    region ``cols``; after the barrier, work-item m reduces them with filter
+    m, adds bias m in int64, narrows its conv map, pools it if fused, and
+    writes output map m."""
     pool = _pool_plane(layers[1], q) if len(layers) > 1 else None
     frac = q.frac_bits
     k = layers[0].kernel
@@ -151,6 +157,7 @@ def _make_conv(layers, inp: Shape, q: QFormat, check):
             x = ctx.regions["src"].read(Ellipsis)
             if check:
                 check(x)
+            x = x.astype(dot_dtype, copy=False)
             cols.write(Ellipsis, np.stack(
                 [x[:, dy:dy + oh, dx:dx + ow] for dy in range(k) for dx in range(k)],
                 axis=1).reshape(-1))
@@ -158,14 +165,15 @@ def _make_conv(layers, inp: Shape, q: QFormat, check):
         w = ctx.regions["wts"].read(m)
         b = ctx.regions["bias"].read(m)
         conv = w.reshape(-1) @ cols.read(Ellipsis).reshape(taps, oh * ow)
-        conv = narrow_array(conv.reshape(oh, ow) + (int(b) << frac), q)
+        conv = narrow_array(conv.astype(np.int64, copy=False).reshape(oh, ow)
+                            + (int(b) << frac), q)
         ctx.regions["dst"].write(m, pool(conv) if pool else conv)
         ctx.count_macs(conv.size * w.size)
 
-    return body, {"cols": taps * oh * ow}
+    return body, {"cols": (taps * oh * ow, dot_dtype)}
 
 
-def _make_pool(layers, inp: Shape, q: QFormat, check):
+def _make_pool(layers, inp: Shape, q: QFormat, check, dot_dtype):
     (pool,) = layers
     reduce = _pool_plane(pool, q)
 
@@ -176,9 +184,10 @@ def _make_pool(layers, inp: Shape, q: QFormat, check):
     return body, {}
 
 
-def _make_fc(layers, inp: Shape, q: QFormat, check):
-    """The whole fully-connected layer as one work-item: one narrowed
-    matrix-vector product, then ReLU when the stage has it."""
+def _make_fc(layers, inp: Shape, q: QFormat, check, dot_dtype):
+    """The whole fully-connected layer as one work-item: one matrix-vector
+    product in ``dot_dtype``, the bias added in int64, one narrowing, then
+    ReLU when the stage has it."""
     relu = layers[-1].kind == "relu"
     frac = q.frac_bits
 
@@ -188,15 +197,17 @@ def _make_fc(layers, inp: Shape, q: QFormat, check):
         b = ctx.regions["bias"].read(Ellipsis)
         if check:
             check(x)
-        out = narrow_array(w @ x + (b << frac), q)
+        dot = (w @ x.astype(dot_dtype, copy=False)).astype(np.int64, copy=False)
+        out = narrow_array(dot + (b << frac), q)
         ctx.regions["dst"].write(Ellipsis, np.maximum(out, 0) if relu else out)
         ctx.count_macs(w.size)
 
     return body, {}
 
 
-#: Kernel factory ``(stage layers, stage input shape, format, overflow check)
-#: -> (body, local region element counts)`` per kind of a stage's first layer.
+#: Kernel factory ``(stage layers, stage input shape, format, overflow check,
+#: dot-product dtype) -> (body, local region (count, dtype) specs)`` per kind
+#: of a stage's first layer.
 _KERNEL_FACTORIES = {"conv": _make_conv, "pool": _make_pool, "fully_connected": _make_fc}
 
 
@@ -219,15 +230,13 @@ def forward(image: np.ndarray, store: WeightStore, mode: ParallelMode | None = N
     if image.shape != in_shape:
         raise ValueError(f"image must have shape {in_shape}, got {image.shape}")
 
-    def buf(name, shape):
-        return Buffer(name, shape, dtype=np.int64, element_bytes=q.element_bytes)
+    def buf(name, shape, dtype=np.int64):
+        return Buffer(name, shape, dtype=dtype, element_bytes=q.element_bytes)
 
     bufs = {"input": buf("input", in_shape)}
     for name, (_, out_shape) in io.items():
         bufs[f"out_{name}"] = buf(f"out_{name}", out_shape.dims)
     arrays = store.arrays()
-    for wname, arr in arrays.items():
-        bufs[wname] = buf(wname, arr.shape)
 
     blocks = layer_weights(spec)
     kernels = []
@@ -235,18 +244,22 @@ def forward(image: np.ndarray, store: WeightStore, mode: ParallelMode | None = N
     for name, start, end in spec.stage_grouping:
         layers = spec.layers[start:end]
         bindings = {"src": src, "dst": bufs[f"out_{name}"]}
-        check = None
+        check, dot_dtype = None, np.int64
         if blocks[start]:  # a stage's weighted layer is its first
             block, _ = blocks[start]
-            bindings.update(wts=bufs[f"{block}_w"], bias=bufs[f"{block}_b"])
-            check = _overflow_check(q, arrays[f"{block}_w"], arrays[f"{block}_b"])
-        body, local_specs = _KERNEL_FACTORIES[layers[0].kind](layers, io[name][0], q, check)
+            wname, bname = f"{block}_w", f"{block}_b"
+            taps, wmax = arrays[wname][0].size, store.abs_max[wname]
+            check = _overflow_check(q, taps, wmax, store.abs_max[bname])
+            dot_dtype = np.float64 if float_dot_is_exact(taps, wmax, q) else np.int64
+            bufs[wname] = buf(wname, arrays[wname].shape, dot_dtype)
+            bufs[bname] = buf(bname, arrays[bname].shape)
+            bindings.update(wts=bufs[wname], bias=bufs[bname])
+        body, local_specs = _KERNEL_FACTORIES[layers[0].kind](
+            layers, io[name][0], q, check, dot_dtype)
         kernels.append(KernelDef(name, body, mode=mode, bindings=bindings,
                                  local_specs=local_specs))
         src = bindings["dst"]
 
-    # Scan the weights (the overflow checks above) before the transfers copy
-    # them: the reverse order measured ~25% slower per forward (numpy 2.4).
     queue = CommandQueue()
     waits = [queue.enqueue_write(bufs["input"], quantize_array(image, q))]
     waits += [queue.enqueue_write(bufs[wname], arr) for wname, arr in arrays.items()]

@@ -38,10 +38,14 @@ def _walk(image: np.ndarray, store: WeightStore, pool_op: str,
     """Run ``image`` through ``lenet5_spec(pool_op)``: ``ops["input"]`` takes
     the float64 image, then ``ops[layer.kind]`` applies each layer, a weighted
     one to its block's weights and bias, any other to its ``LayerSpec``.
-    Returns the last layer's output and each stage's output."""
+    Returns the last layer's output and each stage's output.  Like the
+    engine, it takes only images of the network's input shape."""
     spec = lenet5_spec(pool_op)
     arrays = store.arrays()
-    x = ops["input"](np.asarray(image, dtype=np.float64).reshape(spec.input_shape.dims))
+    image = np.asarray(image, dtype=np.float64)
+    if image.shape != spec.input_shape.dims:
+        raise ValueError(f"image must have shape {spec.input_shape.dims}, got {image.shape}")
+    x = ops["input"](image)
     outputs = []
     for layer, block in zip(spec.layers, layer_weights(spec)):
         args = (layer,) if block is None else (arrays[f"{block[0]}_w"], arrays[f"{block[0]}_b"])

@@ -2,13 +2,15 @@
 
 Values are signed fixed-point Q(total, frac) raws held in int64; float64
 data (images, float weight stores, reference outputs) stays in plain numpy
-arrays.  Fixed arithmetic is exact: products and sums are carried in wide
-integer accumulators with no intermediate rounding, and each output element
-takes one rounding step, :func:`div_round_even_array` (floor division, then
-round half to even), the only integer rounding primitive.  Because the
-accumulation is exact, any summation order produces the same raw value; the
-documented canonical order (input-channel outer, kernel row, kernel column)
-is what every implementation in this package follows.
+arrays.  Fixed arithmetic is exact: products and sums carry no intermediate
+rounding, and each output element takes one rounding step,
+:func:`div_round_even_array` (floor division, then round half to even), the
+only integer rounding primitive.  Accumulators are int64, or float64 where
+:func:`float_dot_is_exact` proves every partial sum an integer below 2**53,
+which float64 holds exactly.  Because the accumulation is exact, any
+summation order produces the same raw value; the documented canonical order
+(input-channel outer, kernel row, kernel column) is what every
+implementation in this package follows.
 
 Layout convention everywhere: row-major with channel as the outermost axis
 (numpy C order on (channels, height, width) arrays).
@@ -25,6 +27,9 @@ MAX_ELEMENT_COUNT = 2**63 - 1
 # Guard bits on top of the 2*total_bits product width; 25-tap and 800-tap
 # dot products stay far inside this for every supported format.
 ACCUMULATOR_GUARD_BITS = 16
+
+#: float64 represents every integer of smaller magnitude exactly.
+FLOAT64_EXACT_LIMIT = 1 << 53
 
 
 class FixedPointOverflowError(ArithmeticError):
@@ -159,6 +164,21 @@ def accumulation_is_static_safe(taps: int, weight_max: int, bias_max: int,
     activation of ``q``, whose largest magnitude is ``-q.raw_min``;
     callers must guard actual magnitudes otherwise."""
     return _accumulation_bound(taps, -q.raw_min, weight_max, bias_max, q) < accumulator_limit(q)
+
+
+def float_dot_is_exact(taps: int, weight_max: int, q: QFormat) -> bool:
+    """True when every ``taps``-term dot product of weights up to
+    ``weight_max`` with activations of ``q`` that the overflow check admits
+    is exact in float64, in any summation order.
+
+    Every partial sum is bounded by the sum of the terms' magnitudes, and
+    float64 holds every integer below 2**53 exactly.  So either that sum
+    with ``q``'s largest activation, ``-q.raw_min``, stays below 2**53, or
+    the accumulator limit does: the static skip or the guard keeps every
+    admitted sum below it.  The bias is not part of the float sum.
+    """
+    return (taps * -q.raw_min * int(weight_max) < FLOAT64_EXACT_LIMIT
+            or accumulator_limit(q) <= FLOAT64_EXACT_LIMIT)
 
 
 def check_accumulation_bound(taps: int, activation_max: int, weight_max: int,

@@ -9,6 +9,7 @@ shapes and their order (the order weight files are written in) come from
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +48,12 @@ class WeightStore:
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in WEIGHT_SHAPES}
+
+    @cached_property
+    def abs_max(self) -> dict[str, int | float]:
+        """Each array's largest magnitude (0 for an empty one), scanned once
+        per store: the arrays are read-only."""
+        return {name: np.abs(arr).max(initial=0).item() for name, arr in self.arrays().items()}
 
     def quantize(self, q: QFormat) -> "WeightStore":
         if self.is_fixed:

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from kernelpipe import fixtures
 from kernelpipe.tensors import QFormat
+
+# Property tests draw the same examples on every run, and run engine
+# forwards whose wall time varies too much for a per-example deadline.
+settings.register_profile("kernelpipe", derandomize=True, deadline=None)
+settings.load_profile("kernelpipe")
 
 Q16_8 = QFormat(16, 8)
 

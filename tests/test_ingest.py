@@ -7,8 +7,8 @@ import pytest
 from kernelpipe import fixtures
 from kernelpipe.ingest import (
     INPUT_SHAPE,
+    FileFormatError,
     IdxFormatError,
-    WeightFormatError,
     load_config,
     load_image_text,
     load_mnist_idx,
@@ -60,45 +60,45 @@ class TestWeightsText:
         lines = path.read_text().splitlines(keepends=True)
         start = next(i for i, l in enumerate(lines) if l.startswith("ip2_b"))
         path.write_text("".join(lines[:start]))
-        with pytest.raises(WeightFormatError, match="ip2_b"):
+        with pytest.raises(FileFormatError, match="ip2_b"):
             load_weights_text(path)
 
     def test_malformed_number_names_line(self, tmp_path):
         path = tmp_path / "w.txt"
         path.write_text("conv1_b 20\n0.0 0.0 oops 0.0\n")
-        with pytest.raises(WeightFormatError, match=r"w\.txt:2.*'oops'"):
+        with pytest.raises(FileFormatError, match=r"w\.txt:2.*'oops'"):
             load_weights_text(path)
 
     def test_unknown_block_rejected(self, tmp_path):
         path = tmp_path / "w.txt"
         path.write_text("conv3_w 2 2\n0 0 0 0\n")
-        with pytest.raises(WeightFormatError, match="conv3_w"):
+        with pytest.raises(FileFormatError, match="conv3_w"):
             load_weights_text(path)
 
     def test_wrong_shape_reports_expected_and_actual(self, tmp_path):
         path = tmp_path / "w.txt"
         path.write_text("conv1_b 19\n" + " ".join(["0"] * 19) + "\n")
-        with pytest.raises(WeightFormatError, match=r"\(19,\).*\(20,\)"):
+        with pytest.raises(FileFormatError, match=r"\(19,\).*\(20,\)"):
             load_weights_text(path)
 
     def test_truncated_block(self, tmp_path):
         path = tmp_path / "w.txt"
         path.write_text("conv1_b 20\n0.0 0.0\n")
-        with pytest.raises(WeightFormatError, match="truncated"):
+        with pytest.raises(FileFormatError, match="truncated"):
             load_weights_text(path)
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN"])
     def test_non_finite_value_names_line(self, tmp_path, token):
         path = tmp_path / "w.txt"
         path.write_text(f"conv1_b 20\n0.0 0.0 0.0\n0.0 {token} 0.0\n")
-        with pytest.raises(WeightFormatError, match=rf"w\.txt:3: .*finite.*'{token}'"):
+        with pytest.raises(FileFormatError, match=rf"w\.txt:3: .*finite.*'{token}'"):
             load_weights_text(path)
 
     def test_duplicate_block(self, tmp_path):
         body = "conv1_b 20\n" + " ".join(["0"] * 20) + "\n"
         path = tmp_path / "w.txt"
         path.write_text(body + body)
-        with pytest.raises(WeightFormatError, match="duplicate"):
+        with pytest.raises(FileFormatError, match="duplicate"):
             load_weights_text(path)
 
 
@@ -114,7 +114,7 @@ class TestImageText:
     def test_wrong_pixel_count(self, tmp_path):
         path = tmp_path / "img.txt"
         path.write_text("0.5 0.5\n")
-        with pytest.raises(WeightFormatError, match="784"):
+        with pytest.raises(FileFormatError, match="784"):
             load_image_text(path)
 
     def test_range_enforced(self, tmp_path):
@@ -122,7 +122,7 @@ class TestImageText:
         write_image_text(np.full((1, 28, 28), 0.5), path)
         load_image_text(path)
         path.write_text(" ".join(["2.0"] * 784))
-        with pytest.raises(WeightFormatError, match=r"\[0, 1\]"):
+        with pytest.raises(FileFormatError, match=r"\[0, 1\]"):
             load_image_text(path)
 
     @pytest.mark.parametrize("token", ["nan", "inf"])
@@ -134,7 +134,7 @@ class TestImageText:
         lines = path.read_text().splitlines(keepends=True)
         lines[4] = lines[4].replace("0.5", token, 1)
         path.write_text("".join(lines))
-        with pytest.raises(WeightFormatError, match=rf"img\.txt:5: .*finite.*'{token}'"):
+        with pytest.raises(FileFormatError, match=rf"img\.txt:5: .*finite.*'{token}'"):
             load_image_text(path)
 
 
@@ -314,6 +314,39 @@ class TestOtherCsv:
         path.write_text(path.read_text() + row + "\n")
         with pytest.raises(ValueError, match=rf"sweep\.csv:3: .*{re.escape(message)}"):
             read_sweep_csv(path)
+
+
+class TestFileFormatError:
+    """Weight, image and CSV parse errors are one kind of error, none of
+    them a weight-format error."""
+
+    def test_sweep_csv_cell(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv([SweepResult(QFormat(16, 8), 0.125, 0.03125, 0.97, 100)], path)
+        path.write_text(path.read_text() + "16,8,nan,inf,2.5,-3\n")
+        with pytest.raises(FileFormatError) as info:
+            read_sweep_csv(path)
+        assert (info.value.path, info.value.line) == (str(path), 3)
+
+    def test_results_csv_cell(self, tmp_path):
+        path = tmp_path / "bench.csv"
+        write_results_csv(sample_records()[:1], path)
+        path.write_text(path.read_text().replace("1.96", "inf"))
+        with pytest.raises(FileFormatError, match=r"bench\.csv:3: .*'inf'"):
+            read_results_csv(path)
+
+    @pytest.mark.parametrize("reader", [read_results_csv, read_sweep_csv])
+    def test_csv_header(self, reader, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("a,b\n")
+        with pytest.raises(FileFormatError, match=r"x\.csv:1: expected header"):
+            reader(path)
+
+    def test_image_pixel(self, tmp_path):
+        path = tmp_path / "img.txt"
+        path.write_text("0.5 x\n")
+        with pytest.raises(FileFormatError, match=r"img\.txt:1: .*'x'"):
+            load_image_text(path)
 
 
 class TestConfig:

@@ -1,16 +1,24 @@
 import ast
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kernelpipe import fixtures, netdef, pipeline, reference
 from kernelpipe.netdef import AVG_POOL, MAX_POOL, infer_shapes, lenet5_spec
 from kernelpipe.ocl import Buffer, ParallelMode
 from kernelpipe.perf import kernel_footprint
-from kernelpipe.tensors import FixedPointOverflowError, QFormat, quantize_array
+from kernelpipe.tensors import (
+    FLOAT64_EXACT_LIMIT,
+    FixedPointOverflowError,
+    QFormat,
+    accumulator_limit,
+    float_dot_is_exact,
+    quantize_array,
+)
 from kernelpipe.weights import WEIGHT_SHAPES, WeightStore, zero_weights
 
 Q = QFormat(16, 8)
@@ -314,3 +322,251 @@ class TestReferenceProperties:
             engine = pipeline.forward(image, fixed42)
             raw, _ = reference.forward_quantized(image, fixed42)
             assert engine.winner == reference.winner_digit(raw)
+
+
+# -- a third, obviously correct oracle -----------------------------------------
+
+
+def oracle_narrow(acc: int, q: QFormat) -> int:
+    """acc / 2**frac rounded half to even (Python's ``round`` of a Fraction),
+    then saturated to ``q``."""
+    return min(max(round(Fraction(acc, q.scale)), q.raw_min), q.raw_max)
+
+
+def oracle_conv(x, w, b, m: int, y: int, xx: int, q: QFormat) -> int:
+    """Raw of conv output map m at (y, xx): the canonical-order loop nest
+    (input channel, kernel row, kernel column) over Python ints, which
+    cannot overflow or round."""
+    acc = 0
+    for c in range(w.shape[1]):
+        for i in range(w.shape[2]):
+            for j in range(w.shape[3]):
+                acc += int(w[m, c, i, j]) * int(x[c, y + i, xx + j])
+    return oracle_narrow(acc + (int(b[m]) << q.frac_bits), q)
+
+
+def oracle_fc(x, w, b, j: int, q: QFormat) -> int:
+    """Raw of fully-connected output j over Python ints."""
+    acc = 0
+    for k, xk in enumerate(x.ravel()):
+        acc += int(w[j, k]) * int(xk)
+    return oracle_narrow(acc + (int(b[j]) << q.frac_bits), q)
+
+
+def largest_admitted_dot(taps: int, wmax: int, bmax: int, q: QFormat) -> int:
+    """The largest dot-product magnitude bound the overflow check admits:
+    taps * a * wmax for the largest activation a <= -raw_min whose
+    accumulation bound stays below the accumulator limit (0 if none does)."""
+    room = accumulator_limit(q) - (bmax << q.frac_bits)
+    if room <= 0:
+        return 0
+    a = -q.raw_min if taps * wmax == 0 else min(-q.raw_min, (room - 1) // (taps * wmax))
+    return taps * a * wmax
+
+
+def with_weight_dtypes(run):
+    """``run()``'s result, and the dtype each weight block's buffer had when
+    a kernel read it: float64 where the engine took the float path."""
+    seen = {}
+    read = Buffer.read
+
+    def spying_read(self, key):
+        if self.name.endswith("_w"):
+            seen[self.name] = self.array.dtype
+        return read(self, key)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Buffer, "read", spying_read)
+        result = run()
+    return result, seen
+
+
+def delta_filters(maps: int, channels: int, k: int, q: QFormat) -> np.ndarray:
+    """Filter m copies input channel m % channels shifted by one of the k*k
+    offsets: weight 1.0, exact in ``q`` while frac_bits <= total_bits - 2."""
+    w = np.zeros((maps, channels, k, k))
+    for m in range(maps):
+        w[m, m % channels, m % k, (m // k) % k] = 1.0
+    return w
+
+
+class TestFloatDotOracle:
+    """Around 2**53 and the accumulator limit, the engine equals a
+    Python-int loop nest and the quantized reference, the guard raises
+    exactly when the bound reaches the limit, and the float64 path is taken
+    only where every admitted dot product stays below 2**53."""
+
+    @staticmethod
+    def store_and_image(target: str, q: QFormat, a: int, wmax: int, bmax: int, seed: int):
+        """A store whose ``target`` block (conv2 or ip1) has weight raws of
+        magnitude up to ``wmax`` (one equal to it) and bias raws up to
+        ``bmax``, and an image whose raws the delta filters carry unchanged
+        to the target's input: all within [-a, a], with -a reached there."""
+        rng = np.random.default_rng(seed)
+        raws = rng.integers(-a, a + 1, size=(1, 28, 28))
+        raws[0, :16, :16] = -a  # pools to -a at the top-left of every map
+        shape = WEIGHT_SHAPES[f"{target}_w"]
+        w = rng.choice([-1, 1], size=shape) * rng.integers(wmax - wmax // 8, wmax + 1, size=shape)
+        w.flat[0] = wmax
+        b = rng.integers(-bmax, bmax + 1, size=WEIGHT_SHAPES[f"{target}_b"])
+        b.flat[0] = bmax
+        blocks = {"conv1_w": delta_filters(20, 1, 5, q)}
+        if target == "ip1":
+            blocks["conv2_w"] = delta_filters(50, 20, 5, q)
+        blocks.update({f"{target}_w": w / q.scale, f"{target}_b": b / q.scale})
+        return store_with(**blocks).quantize(q), raws / q.scale
+
+    @settings(max_examples=12)
+    @given(st.sampled_from([-1, 0]), st.data())
+    def test_conv2_around_2_53(self, side, data):
+        self.check_around_bound("conv2", "2**53", side, data)
+
+    @settings(max_examples=12)
+    @given(st.sampled_from([-1, 0]), st.data())
+    def test_conv2_around_the_limit(self, side, data):
+        self.check_around_bound("conv2", "limit", side, data)
+
+    @settings(max_examples=12)
+    @given(st.sampled_from([-1, 0]), st.data())
+    def test_fc_around_2_53(self, side, data):
+        self.check_around_bound("ip1", "2**53", side, data)
+
+    @settings(max_examples=12)
+    @given(st.sampled_from([-1, 0]), st.data())
+    def test_fc_around_the_limit(self, side, data):
+        self.check_around_bound("ip1", "limit", side, data)
+
+    def check_around_bound(self, target, boundary, side, data):
+        """The ``target`` block's weight max sits one below (``side`` -1)
+        or at (0) the first value whose bound reaches ``boundary``.  Weight
+        raws reach the limit at >= 29 bits; frac keeps the delta filters'
+        weight 1.0 exact and their stages clear of the guard, so only the
+        target block can trip it."""
+        total = data.draw(st.integers(20 if boundary == "2**53" else 29, 32), label="total")
+        q = QFormat(total, data.draw(st.integers(0, min(total - 2, 53 - total)), label="frac"))
+        a = data.draw(st.integers(1 << (total - 2), -q.raw_min), label="a")
+        bmax = data.draw(st.integers(0, q.raw_max), label="bmax")
+        taps = int(np.prod(WEIGHT_SHAPES[f"{target}_w"][1:]))
+        # the weight max whose bound first reaches the threshold, or one below
+        if boundary == "2**53":  # the rule's own bound: largest activation, no bias
+            first = -(-FLOAT64_EXACT_LIMIT // (taps * -q.raw_min))
+        else:  # the guard's bound: actual activations, bias included
+            first = -(-(accumulator_limit(q) - (bmax << q.frac_bits)) // (taps * a))
+        wmax = min(max(first + side, 1), q.raw_max)
+        store, image = self.store_and_image(target, q, a, wmax, bmax,
+                                            data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        assert store.abs_max[f"{target}_w"] == wmax
+        bound = taps * a * wmax + (bmax << q.frac_bits)
+
+        if bound >= accumulator_limit(q):
+            with pytest.raises(FixedPointOverflowError, match=f"{taps} taps"):
+                pipeline.forward(image, store)
+            with pytest.raises(FixedPointOverflowError, match=f"{taps} taps"):
+                reference.forward_quantized(image, store)
+            return
+        result, dtypes = with_weight_dtypes(lambda: pipeline.forward(image, store))
+        raw_logits, stages = reference.forward_quantized(image, store)
+        assert np.array_equal(result.raw_logits, raw_logits)
+        for stage in result.stages:
+            assert np.array_equal(stage.output.values, stages[stage.name]), stage.name
+
+        # the target's input holds activations up to a; one element per layer
+        w, b = store.conv2_w, store.conv2_b
+        x = stages["conv_pool1"]
+        assert int(np.abs(x if target == "conv2" else stages["pool2"]).max()) == a
+        m, y, xx = (data.draw(st.integers(0, n - 1), label=axis)
+                    for n, axis in ((50, "m"), (8, "y"), (8, "x")))
+        assert stages["conv2"][m, y, xx] == oracle_conv(x, w, b, m, y, xx, q)
+        j = data.draw(st.integers(0, 499), label="j")
+        assert stages["ip1_relu"][j] == max(0, oracle_fc(stages["pool2"], store.ip1_w,
+                                                         store.ip1_b, j, q))
+
+        # the float path only where every admitted dot stays below 2**53
+        took_float = dtypes[f"{target}_w"] == np.float64
+        assert took_float == float_dot_is_exact(taps, wmax, q)
+        if took_float:
+            assert largest_admitted_dot(taps, wmax, store.abs_max[f"{target}_b"], q) \
+                < FLOAT64_EXACT_LIMIT
+
+    @settings(max_examples=300)
+    # the formats either side of accumulator_limit == 2**53, at their largest weights
+    @example((QFormat(19, 0), (1 << 18) - 1, 0), 1 << 20)
+    @example((QFormat(20, 0), (1 << 19) - 1, 0), 1 << 20)
+    @given(st.integers(8, 32).flatmap(lambda t: st.tuples(
+               st.builds(QFormat, st.just(t), st.integers(0, t - 1)),
+               st.integers(0, (1 << (t - 1)) - 1), st.integers(0, (1 << (t - 1)) - 1))),
+           st.integers(1, 1 << 20))
+    def test_rule_never_admits_a_dot_reaching_2_53(self, q_w_b, taps):
+        # taps far past LeNet-5's 800 reach 2**53 at 20 bits, where only
+        # the guard's limit (2**55) bounds the sum
+        q, wmax, bmax = q_w_b
+        if float_dot_is_exact(taps, wmax, q):
+            assert largest_admitted_dot(taps, wmax, bmax, q) < FLOAT64_EXACT_LIMIT
+
+    @pytest.mark.parametrize("q, dtype", [(Q, np.float64), (QFormat(32, 24), np.int64)],
+                             ids=["Q16.8-float64", "Q32.24-int64"])
+    def test_path_per_block(self, store42, image42, q, dtype):
+        fixed = store42.quantize(q)
+        _, dtypes = with_weight_dtypes(lambda: pipeline.forward(image42, fixed))
+        assert dtypes == {f"{block}_w": np.dtype(dtype)
+                          for block in ("conv1", "conv2", "ip1", "ip2")}
+
+
+class TestReferenceStaysInteger:
+    """The quantized reference accumulates in integers even where a float64
+    sum would round: otherwise the bit-exact check would compare one
+    arithmetic with itself."""
+
+    # Q32.0 makes narrowing a plain clamp.  Every activation is X; each
+    # filter or neuron row pairs +(W + d) with -(W + d) (one pair off by
+    # one), so the exact dot is X while the partial sums pass 2**59.
+    Q = QFormat(32, 0)
+    X = (1 << 30) + 1
+    W = 3_000_001
+
+    def row(self, taps: int, rng) -> np.ndarray:
+        offsets = 2 * rng.integers(0, 1000, taps // 2) + 1
+        neg = -(self.W + offsets)
+        neg[0] += 1
+        return np.concatenate([self.W + offsets, neg])
+
+    def test_reference_equals_oracle_where_float64_rounds(self):
+        q, rng = self.Q, np.random.default_rng(5)
+        conv2_w = np.stack([self.row(500, rng) for _ in range(50)]).reshape(50, 20, 5, 5)
+        ip1_w = np.stack([self.row(800, rng) for _ in range(500)])
+        store = store_with(conv1_w=delta_filters(20, 1, 5, q), conv2_w=conv2_w,
+                           ip1_w=ip1_w).quantize(q)
+        image = np.full((1, 28, 28), float(self.X))
+
+        raw_logits, stages = reference.forward_quantized(image, store)
+        assert raw_logits.dtype == np.int64
+        assert all(raws.dtype == np.int64 for raws in stages.values())
+        x = stages["conv_pool1"]
+        assert np.all(x == self.X)
+        for name, taps, w in (("conv2", 500, conv2_w), ("ip1", 800, ip1_w)):
+            bound = taps * self.X * int(np.abs(w).max())
+            assert FLOAT64_EXACT_LIMIT < bound < accumulator_limit(q), name
+        # float64 rounds these dot products: the case can tell the arithmetics apart
+        cols = x[:, :5, :5].astype(np.float64).ravel()
+        assert float(conv2_w[0].ravel().astype(np.float64) @ cols) != self.X
+        assert float(ip1_w[0].astype(np.float64) @ stages["pool2"].ravel()) != self.X
+
+        assert stages["conv2"][0, 0, 0] == oracle_conv(x, store.conv2_w, store.conv2_b,
+                                                       0, 0, 0, q) == self.X
+        assert stages["ip1_relu"][0] == oracle_fc(stages["pool2"], store.ip1_w,
+                                                  store.ip1_b, 0, q) == self.X
+        assert np.all(stages["conv2"] == self.X) and np.all(stages["ip1_relu"] == self.X)
+        for stage in pipeline.forward(image, store).stages:  # on its int64 path
+            assert np.array_equal(stage.output.values, stages[stage.name]), stage.name
+
+
+class TestImageShape:
+    def test_flat_image_rejected_everywhere(self, store42, fixed42, image42):
+        flat = image42.reshape(-1)
+        message = r"image must have shape \(1, 28, 28\), got \(784,\)"
+        with pytest.raises(ValueError, match=message):
+            pipeline.forward(flat, fixed42)
+        with pytest.raises(ValueError, match=message):
+            reference.forward_quantized(flat, fixed42)
+        with pytest.raises(ValueError, match=message):
+            reference.forward_float(flat, store42)

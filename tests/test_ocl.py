@@ -230,7 +230,7 @@ class TestBarriers:
             out.write(ctx.global_id, neighbor)
 
         kernel = KernelDef("rotate", body, bindings={"out": out},
-                           local_specs={"scratch": 64})
+                           local_specs={"scratch": (64, np.int64)})
         run_single(kernel, NdRange((64,), (64,)))
         assert out.array.tolist() == [(i + 1) % 64 for i in range(64)]
 
@@ -349,14 +349,15 @@ class TestRegionAccess:
             out.write(ctx.global_id, scratch.read(0))
 
         kernel = KernelDef("priv", body, bindings={"out": out},
-                           private_specs={"scratch": 1})
+                           private_specs={"scratch": (1, np.int64)})
         run_single(kernel, NdRange((8,), (4,)))
         assert out.array.tolist() == [i * 10 for i in range(8)]
 
     @pytest.mark.parametrize("name,specs", [
-        ("out", {"local_specs": {"out": 4}}),
-        ("out", {"private_specs": {"out": 4}}),
-        ("scratch", {"local_specs": {"scratch": 4}, "private_specs": {"scratch": 4}}),
+        ("out", {"local_specs": {"out": (4, np.int64)}}),
+        ("out", {"private_specs": {"out": (4, np.int64)}}),
+        ("scratch", {"local_specs": {"scratch": (4, np.int64)},
+                     "private_specs": {"scratch": (4, np.int64)}}),
     ])
     def test_spec_shadowing_a_region_rejected(self, name, specs):
         # a local/private spec named like a binding would hide the global
@@ -369,7 +370,37 @@ class TestRegionAccess:
     @pytest.mark.parametrize("count", [0, -1, 2.0, True, "4"])
     def test_spec_count_must_be_positive_int(self, kind, count):
         with pytest.raises(ValueError, match="region 'scratch'.*positive int"):
-            KernelDef("k", lambda ctx: None, **{kind: {"scratch": count}})
+            KernelDef("k", lambda ctx: None, **{kind: {"scratch": (count, np.int64)}})
+
+    @pytest.mark.parametrize("kind", ["local_specs", "private_specs"])
+    @pytest.mark.parametrize("dtype", [np.int32, np.float32, bool, "int64", None])
+    def test_spec_dtype_must_be_int64_or_float64(self, kind, dtype):
+        with pytest.raises(ValueError, match="region 'scratch'.*int64 or float64"):
+            KernelDef("k", lambda ctx: None, **{kind: {"scratch": (4, dtype)}})
+
+    @pytest.mark.parametrize("kind", ["local_specs", "private_specs"])
+    @pytest.mark.parametrize("spec", [4, (4,), [4, np.int64], (4, np.int64, 1)])
+    def test_spec_is_one_count_dtype_pair(self, kind, spec):
+        # OpenCL local/private arrays are typed: a bare count is not a spec
+        with pytest.raises(ValueError, match=r"region 'scratch'.*\(element count, dtype\)"):
+            KernelDef("k", lambda ctx: None, **{kind: {"scratch": spec}})
+
+    @pytest.mark.parametrize("kind", ["local_specs", "private_specs"])
+    def test_regions_take_their_spec_dtype(self, kind):
+        out = Buffer("out", 4, dtype=np.float64)
+        seen = []
+
+        def probe(ctx):
+            scratch = ctx.regions["scratch"]
+            scratch.write(0, 0.5)
+            seen.append(scratch.read(Ellipsis).dtype)
+            out.write(ctx.global_id, scratch.read(0))
+
+        run_single(KernelDef("typed", probe, bindings={"out": out},
+                             **{kind: {"scratch": (2, np.float64)}}),
+                   NdRange((4,), (4,)))
+        assert set(seen) == {np.dtype(np.float64)}
+        assert out.array.tolist() == [0.5] * 4
 
 
 class TestAccessAccounting:
@@ -424,7 +455,7 @@ class TestAccessAccounting:
             out.write(ctx.global_id, scratch.read(ctx.local_id[0]))
 
         kernel = KernelDef("k", body, bindings={"out": out},
-                           local_specs={"scratch": 4})
+                           local_specs={"scratch": (4, np.int64)})
         records = run_single(kernel, NdRange((4,), (4,)))
         assert records[0].bytes_read == 0          # only local reads happened
         assert records[0].bytes_written == 4 * 2   # the global stores
