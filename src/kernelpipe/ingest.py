@@ -34,8 +34,8 @@ INPUT_SHAPE = lenet5_spec().input_shape
 
 
 class FileFormatError(ValueError):
-    """A weight, image or CSV text file that does not parse; the message
-    names the file and the line (0 for the file as a whole)."""
+    """A weight, image, CSV or config text file that does not parse; the
+    message names the file and the line (0 for the file as a whole)."""
 
     def __init__(self, path, line: int, message: str):
         super().__init__(f"{path}:{line}: {message}")
@@ -324,15 +324,19 @@ def read_sweep_csv(path) -> list[SweepResult]:
 
 
 def load_config(path) -> dict[str, str]:
-    """Flat ``key = value`` file, one per line, '#' comments."""
-    config = {}
+    """Flat ``key = value`` file, one per line, '#' comments; a key may be
+    set only once."""
+    config, lines = {}, {}
     with open(path, "r", encoding="ascii") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            config[key.strip()] = value.strip()
+                raise FileFormatError(path, lineno, f"expected key=value, got {line!r}")
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in lines:
+                raise FileFormatError(path, lineno,
+                                      f"key {key!r} already set on line {lines[key]}")
+            config[key], lines[key] = value, lineno
     return config

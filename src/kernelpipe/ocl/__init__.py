@@ -4,7 +4,9 @@ The device is a hierarchy of compute units and processing elements only in
 the cost model's eyes; functionally this package executes kernels as host
 Python callables over an NDRange index space, with the four memory regions
 (global / constant / local / private), their visibility rules, and an
-in-order event-driven command queue.
+in-order event-driven command queue.  Every local, private and constant
+access is checked against the running work-item, or the host outside a
+kernel; each command reports the global bytes it first touched.
 """
 
 from .ndrange import NdRange

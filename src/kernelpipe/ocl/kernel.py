@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .memory import Buffer, PRIVATE, AccessScope, RegionHandle, CONSTANT, LOCAL
+from . import memory
+from .memory import Buffer, PRIVATE, AccessScope, LOCAL
 from .ndrange import NdRange
 
 MODE_NONE = "none"
@@ -149,49 +150,49 @@ def group_schedule(nd: NdRange, cu_count: int) -> list[tuple[int, ...]]:
 
 
 def execute_kernel(kdef: KernelDef, nd: NdRange, macs: list):
-    """Run every work-item of the NDRange; returns nothing, mutates buffers."""
-    shared_regions = {}
-    for name, buf in kdef.bindings.items():
-        if buf.kind == CONSTANT:
-            shared_regions[name] = RegionHandle(buf, AccessScope("item"))
-        else:
-            shared_regions[name] = buf  # global: unrestricted, counted internally
+    """Run every work-item of the NDRange; returns nothing, mutates buffers.
 
-    for group_id in group_schedule(nd, kdef.mode.cu_count):
-        regions = shared_regions
-        if kdef.local_specs:
-            regions = dict(shared_regions)
+    Each body call and each barrier phase runs with
+    ``memory.current_accessor`` set to its work-item, so every local,
+    private and constant access is checked against it; the previous
+    accessor is restored on return and on abort.
+    """
+    previous = memory.current_accessor
+    try:
+        for group_id in group_schedule(nd, kdef.mode.cu_count):
+            regions = dict(kdef.bindings)
             for name, (count, dtype) in kdef.local_specs.items():
-                local_buf = Buffer(name, count, kind=LOCAL, dtype=dtype, owner_group=group_id)
-                regions[name] = RegionHandle(local_buf,
-                                             AccessScope("item", group_id=group_id))
-        ctxs = []
-        for local_id in nd.local_ids():
-            gid = nd.global_id(group_id, local_id)
-            item_regions = regions
-            if kdef.private_specs:
+                regions[name] = Buffer(name, count, kind=LOCAL, dtype=dtype,
+                                       owner_group=group_id)
+            # A plain body runs to completion when called; a generator body
+            # returns a generator whose every yield is a barrier: advance all
+            # items one phase at a time and require them to agree on every
+            # barrier.
+            alive = []
+            for local_id in nd.local_ids():
+                gid = nd.global_id(group_id, local_id)
                 item_regions = dict(regions)
                 for name, (count, dtype) in kdef.private_specs.items():
-                    priv = Buffer(name, count, kind=PRIVATE, dtype=dtype, owner_item=gid)
-                    item_regions[name] = RegionHandle(
-                        priv, AccessScope("item", group_id=group_id, item_id=gid))
-            ctxs.append(WorkItemCtx(gid, local_id, group_id, item_regions, macs))
-
-        # A plain body runs to completion when called; a generator body
-        # returns a generator whose every yield is a barrier: advance all
-        # items one phase at a time and require them to agree on every barrier.
-        alive = [gen for gen in map(kdef.body, ctxs) if inspect.isgenerator(gen)]
-        while alive:
-            at_barrier = []
-            for gen in alive:
-                try:
-                    next(gen)
-                    at_barrier.append(gen)
-                except StopIteration:
-                    pass
-            if at_barrier and len(at_barrier) < len(alive):
-                raise BarrierDivergenceError(
-                    f"kernel {kdef.name!r} group {group_id}: "
-                    f"{len(at_barrier)} of {len(alive)} items reached the barrier"
-                )
-            alive = at_barrier
+                    item_regions[name] = Buffer(name, count, kind=PRIVATE, dtype=dtype,
+                                                owner_item=gid)
+                scope = memory.current_accessor = AccessScope("item", group_id, gid)
+                gen = kdef.body(WorkItemCtx(gid, local_id, group_id, item_regions, macs))
+                if inspect.isgenerator(gen):
+                    alive.append((scope, gen))
+            while alive:
+                at_barrier = []
+                for scope, gen in alive:
+                    memory.current_accessor = scope
+                    try:
+                        next(gen)
+                        at_barrier.append((scope, gen))
+                    except StopIteration:
+                        pass
+                if at_barrier and len(at_barrier) < len(alive):
+                    raise BarrierDivergenceError(
+                        f"kernel {kdef.name!r} group {group_id}: "
+                        f"{len(at_barrier)} of {len(alive)} items reached the barrier"
+                    )
+                alive = at_barrier
+    finally:
+        memory.current_accessor = previous

@@ -1,12 +1,15 @@
 """The four memory regions and their visibility rules.
 
-Global memory is visible to every work-item and to the host; access to it is
-byte-counted per command (both raw load/store traffic and first-touch unique
-bytes, the latter modeling the mandatory caching of global accesses).
-Constant memory is host-initialized and frozen once a kernel using it is
-enqueued.  Local memory is visible only inside one work-group, private
-memory only inside one work-item; any cross-scope touch aborts the kernel
-with a violation.
+Global memory is visible to every work-item and to the host; each command
+counts the bytes it first touches there (one read and one written count,
+modeling the mandatory caching of global accesses).  Constant memory is
+readable by all; only the host writes it, and only until a kernel using it
+is enqueued.  Local memory is visible only inside one work-group, private
+memory only inside one work-item.  Every read and write of a non-global
+region is checked against :data:`current_accessor` -- the running
+work-item during a kernel, the host otherwise -- so a reference kept past
+its scope, or a buffer closed over by a kernel body, is checked too; a
+denied access raises :class:`RegionAccessViolation` and aborts the kernel.
 
 Kernels read and write regions through ``read``/``write`` with numpy-style
 keys; block reads return views, so by contract kernels mutate buffers only
@@ -35,6 +38,10 @@ class AccessScope:
 
 
 HOST_SCOPE = AccessScope("host")
+
+#: Who is touching memory now: the host outside a kernel, the running
+#: work-item inside one (set by ``execute_kernel``; not thread-safe).
+current_accessor = HOST_SCOPE
 
 
 class RegionAccessViolation(RuntimeError):
@@ -85,8 +92,9 @@ class Buffer:
     """A memory region backed by a numpy array.
 
     ``element_bytes`` is the modeled storage width (e.g. 2 for Q16.8 raws
-    held in int64), used for all byte accounting.  Only global regions
-    accumulate access statistics.
+    held in int64), used for byte accounting.  Global regions count
+    first-touch bytes; every other region checks each access against
+    :data:`current_accessor`.
     """
 
     def __init__(self, name, shape, kind=GLOBAL, dtype=np.int64, element_bytes=None,
@@ -102,79 +110,50 @@ class Buffer:
         self.frozen = False  # constant regions only
         self._counted = kind == GLOBAL
         if self._counted:
-            self.read_bytes = 0
-            self.written_bytes = 0
             self._read_mask = np.zeros(shape, dtype=bool)
             self._write_mask = np.zeros(shape, dtype=bool)
+
+    def _check(self, scope: AccessScope, op: str):
+        violation = check_region_access(self, scope, op)
+        if violation is not None:
+            raise violation
 
     # -- host-side setup -------------------------------------------------
 
     def host_init(self, values):
         """Uncounted host initialization (use queue transfers for counted copies)."""
-        if self.kind == CONSTANT and self.frozen:
-            raise RegionAccessViolation(self, HOST_SCOPE, "write",
-                                        "constant region is frozen after kernel launch")
+        self._check(HOST_SCOPE, "write")
         self.array[...] = values
 
     def freeze(self):
         self.frozen = True
 
-    # -- counted access --------------------------------------------------
+    # -- checked, counted access -------------------------------------------
 
     def read(self, key):
-        value = self.array[key]
         if self._counted:
-            n = value.size if isinstance(value, np.ndarray) else 1
-            self.read_bytes += n * self.element_bytes
             self._read_mask[key] = True
-        return value
+        else:
+            self._check(current_accessor, "read")
+        return self.array[key]
 
     def write(self, key, value):
         if self._counted:
-            target = self.array[key]
-            n = target.size if isinstance(target, np.ndarray) else 1
-            self.written_bytes += n * self.element_bytes
             self._write_mask[key] = True
+        else:
+            self._check(current_accessor, "write")
         self.array[key] = value
 
     # -- per-command accounting epochs ------------------------------------
 
     def begin_epoch(self):
-        if not self._counted:
-            return
-        self.read_bytes = self.written_bytes = 0
-        self._read_mask[...] = False
-        self._write_mask[...] = False
+        if self._counted:
+            self._read_mask[...] = False
+            self._write_mask[...] = False
 
     def epoch_stats(self):
-        """(read, written, unique_read, unique_written) bytes since begin_epoch."""
+        """(unique read, unique written) bytes since begin_epoch."""
         if not self._counted:
-            return (0, 0, 0, 0)
-        return (
-            self.read_bytes,
-            self.written_bytes,
-            int(self._read_mask.sum()) * self.element_bytes,
-            int(self._write_mask.sum()) * self.element_bytes,
-        )
-
-
-class RegionHandle:
-    """A buffer as seen by one accessor; enforces visibility on every access."""
-
-    __slots__ = ("buffer", "scope")
-
-    def __init__(self, buffer: Buffer, scope: AccessScope):
-        self.buffer = buffer
-        self.scope = scope
-
-    def read(self, key):
-        violation = check_region_access(self.buffer, self.scope, "read")
-        if violation is not None:
-            raise violation
-        return self.buffer.read(key)
-
-    def write(self, key, value):
-        violation = check_region_access(self.buffer, self.scope, "write")
-        if violation is not None:
-            raise violation
-        self.buffer.write(key, value)
+            return (0, 0)
+        return (int(self._read_mask.sum()) * self.element_bytes,
+                int(self._write_mask.sum()) * self.element_bytes)

@@ -8,9 +8,10 @@ to a later command (or to no command) can never be satisfied and is reported
 as a deadlock instead of hanging.
 
 ``run`` returns one :class:`CommandRecord` per command: the start order plus
-global-memory traffic, counted two ways -- raw load/store bytes, and
-first-touch unique bytes (the cached-global convention the performance model
-consumes).
+one byte count each way for global memory -- the bytes the command first
+touched (the cached-global convention the performance model consumes).
+During a kernel every work-item's access to a local, private or constant
+region is checked against that item; transfers run as the host.
 """
 
 from __future__ import annotations
@@ -62,8 +63,6 @@ class CommandRecord:
     kind: str
     name: str
     wait_positions: tuple[int, ...]
-    bytes_read: int = 0
-    bytes_written: int = 0
     unique_bytes_read: int = 0
     unique_bytes_written: int = 0
     macs: int = 0
@@ -142,9 +141,12 @@ class CommandQueue:
 
     def enqueue_write(self, buffer: Buffer, host_data,
                       waits=(), event: Event | None = None) -> Event:
-        """Host -> device copy; data is snapshotted at enqueue time."""
+        """Host -> device copy, non-blocking: as with ``clEnqueueWriteBuffer``
+        and ``blocking_write=CL_FALSE``, the host must leave ``host_data``
+        unchanged until the command's event fires; it is read when the
+        command runs, not copied at enqueue time."""
         return self._enqueue("write", f"write:{buffer.name}", waits, event, (buffer,),
-                             buffer=buffer, host_data=np.array(host_data, copy=True))
+                             buffer=buffer, host_data=host_data)
 
     def enqueue_read(self, buffer: Buffer, waits=(), event: Event | None = None) -> Event:
         """Device -> host copy; the copy lands in the command's record."""
@@ -201,9 +203,7 @@ class CommandQueue:
             # markers execute nothing
 
             for buf in cmd.touched:
-                r, w, ur, uw = buf.epoch_stats()
-                record.bytes_read += r
-                record.bytes_written += w
+                ur, uw = buf.epoch_stats()
                 record.unique_bytes_read += ur
                 record.unique_bytes_written += uw
             cmd.event.fired = True

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pipeline, reference
-from .netdef import MAX_POOL, lenet5_spec
+from .netdef import MAX_POOL
 from .tensors import QFormat
 from .weights import WeightStore
 
@@ -41,8 +41,7 @@ def sweep_precision(store: WeightStore, images, formats: list[QFormat],
     ``store`` must be float64 (it is quantized per format here); ``images``
     is a sequence of arrays of the network's input shape.
     """
-    in_shape = lenet5_spec(pool_op).input_shape.dims
-    images = [np.asarray(img, dtype=np.float64).reshape(in_shape) for img in images]
+    images = list(images)
     if not images:
         raise ValueError("at least one image is required")
     if not formats:

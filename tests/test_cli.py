@@ -287,6 +287,16 @@ class TestConfigOverride:
         assert rc == 1
         assert "dsp_capacty" in capsys.readouterr().err
 
+    def test_duplicate_config_key_is_user_error(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "model.cfg"
+        key = f"platform.{XILINX}.compute_clock_hz"
+        cfg.write_text(f"{key} = 2e8\n{key} = 3e8\n")
+        monkeypatch.setenv("KERNELPIPE_CONFIG", str(cfg))
+        assert main(["stream", "--platform", "xilinx", "--interval", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"model.cfg:2: key '{key}' already set on line 1" in captured.err
+
     @pytest.mark.parametrize("command", [["bench"], ["stream", "--platform", "altera",
                                                      "--interval", "1"]])
     @pytest.mark.parametrize("line, message", [

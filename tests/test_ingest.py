@@ -368,6 +368,20 @@ class TestConfig:
         with pytest.raises(ValueError, match="key=value"):
             load_config(path)
 
+    def test_malformed_line_names_file_and_line(self, tmp_path):
+        path = tmp_path / "model.cfg"
+        path.write_text("a = 1\njust a line\n")
+        with pytest.raises(FileFormatError, match=r"model\.cfg:2: expected key=value"):
+            load_config(path)
+
+    def test_duplicate_key(self, tmp_path):
+        path = tmp_path / "model.cfg"
+        path.write_text("a.b = 1\n# comment\nc = 2\n a.b= 3\n")
+        with pytest.raises(FileFormatError,
+                           match=r"model\.cfg:4: key 'a\.b' already set on line 1") as exc:
+            load_config(path)
+        assert exc.value.line == 4
+
 
 class TestFixtureFiles:
     def test_write_fixture_files(self, tmp_path):

@@ -11,6 +11,7 @@ from kernelpipe import fixtures, netdef, pipeline, reference
 from kernelpipe.netdef import AVG_POOL, MAX_POOL, infer_shapes, lenet5_spec
 from kernelpipe.ocl import Buffer, ParallelMode
 from kernelpipe.perf import kernel_footprint
+from kernelpipe.sweep import sweep_precision
 from kernelpipe.tensors import (
     FLOAT64_EXACT_LIMIT,
     FixedPointOverflowError,
@@ -570,3 +571,5 @@ class TestImageShape:
             reference.forward_quantized(flat, fixed42)
         with pytest.raises(ValueError, match=message):
             reference.forward_float(flat, store42)
+        with pytest.raises(ValueError, match=message):
+            sweep_precision(store42, [flat], [QFormat(16, 8)])
