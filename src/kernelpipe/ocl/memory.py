@@ -128,6 +128,13 @@ class Buffer:
     def freeze(self):
         self.frozen = True
 
+    def transfer_in(self, values):
+        """A queued host -> device copy of the whole region, counted like any
+        global write; the queue checked the host's access at enqueue."""
+        if self._counted:
+            self._write_mask[...] = True
+        self.array[...] = values
+
     # -- checked, counted access -------------------------------------------
 
     def read(self, key):

@@ -11,7 +11,8 @@ as a deadlock instead of hanging.
 one byte count each way for global memory -- the bytes the command first
 touched (the cached-global convention the performance model consumes).
 During a kernel every work-item's access to a local, private or constant
-region is checked against that item; transfers run as the host.
+region is checked against that item; a host write is checked as the host
+when it is enqueued.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernel import KernelDef, execute_kernel
-from .memory import Buffer, GLOBAL, CONSTANT
+from .memory import Buffer, GLOBAL, CONSTANT, HOST_SCOPE, check_region_access
 from .ndrange import NdRange
 
 
@@ -144,7 +145,13 @@ class CommandQueue:
         """Host -> device copy, non-blocking: as with ``clEnqueueWriteBuffer``
         and ``blocking_write=CL_FALSE``, the host must leave ``host_data``
         unchanged until the command's event fires; it is read when the
-        command runs, not copied at enqueue time."""
+        command runs, not copied at enqueue time.  The host's access is
+        checked here, once: a constant region a kernel enqueued earlier
+        binds is frozen, but one that only later kernels bind is not, since
+        the in-order queue runs this copy before them."""
+        violation = check_region_access(buffer, HOST_SCOPE, "write")
+        if violation is not None:
+            raise violation
         return self._enqueue("write", f"write:{buffer.name}", waits, event, (buffer,),
                              buffer=buffer, host_data=host_data)
 
@@ -197,7 +204,7 @@ class CommandQueue:
                 execute_kernel(cmd.kernel, cmd.ndrange, macs)
                 record.macs = macs[0]
             elif cmd.kind == "write":
-                cmd.buffer.write(Ellipsis, cmd.host_data)
+                cmd.buffer.transfer_in(cmd.host_data)
             elif cmd.kind == "read":
                 record.data = np.array(cmd.buffer.read(Ellipsis), copy=True)
             # markers execute nothing

@@ -142,16 +142,21 @@ class KernelFootprint:
         return self.bytes_read + self.bytes_written
 
 
-def kernel_footprint(spec: NetworkSpec, stage: str, q: QFormat) -> KernelFootprint:
-    """Analytic MAC and byte counts for one pipeline stage.
+def kernel_footprint(spec: NetworkSpec, stage: str, q: QFormat,
+                     batch: int = 1) -> KernelFootprint:
+    """Analytic MAC and byte counts for one pipeline stage run on ``batch``
+    images in one command.
 
     Bytes follow the cached-global convention: each input and weight element
     is fetched once, each output element written once, at the format's
-    storage width.
+    storage width.  Weights and biases are fetched once per command;
+    activations and MACs scale with ``batch``.
     """
     io = stage_io_shapes(spec)
     if stage not in io:
         raise KeyError(f"unknown stage {stage!r}")
+    if batch < 1:
+        raise ValueError(f"batch must be at least 1, got {batch}")
     in_shape, out_shape = io[stage]
     _, start, end = next(g for g in spec.stage_grouping if g[0] == stage)
 
@@ -168,9 +173,9 @@ def kernel_footprint(spec: NetworkSpec, stage: str, q: QFormat) -> KernelFootpri
     width = q.element_bytes
     return KernelFootprint(
         stage=stage,
-        macs=macs,
-        bytes_read=(in_shape.element_count + weight_elems) * width,
-        bytes_written=out_shape.element_count * width,
+        macs=macs * batch,
+        bytes_read=(in_shape.element_count * batch + weight_elems) * width,
+        bytes_written=out_shape.element_count * batch * width,
     )
 
 

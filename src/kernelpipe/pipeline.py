@@ -1,9 +1,16 @@
 """The five pipeline stages as device kernels over the emulated OpenCL model.
 
-Stage I/O always round-trips through global memory: the host transfers the
-image and all weights in, each kernel reads global memory, computes, and
-writes its outputs back, and consecutive stages are chained in-order through
-completion events.  The engine runs fixed-point weight stores only; float64
+:func:`forward_batch` runs a batch of images on one command queue, as the
+paper streams images through weights held in on-board memory: every buffer
+has a leading batch axis, the host transfers the images and writes all
+weights once, and each stage launches once for the whole batch.
+:func:`forward` is a batch of one.  Stage I/O always round-trips through
+global memory: each kernel reads global memory, computes, and writes its
+outputs back, and consecutive stages are chained in-order through
+completion events.  Each stage's counters are its batch command's:
+weights and biases are first-touched once per command, activations and
+MACs once per image (:func:`kernelpipe.perf.kernel_footprint` with
+``batch``).  The engine runs fixed-point weight stores only; float64
 results come from :func:`kernelpipe.reference.forward_float`.  Its arithmetic
 matches :func:`kernelpipe.reference.forward_quantized` bit for bit: exact
 accumulation, bias aligned by a left shift and added in int64, one
@@ -19,17 +26,21 @@ Geometry and weights come from :mod:`kernelpipe.netdef`: each kernel takes
 its conv kernel edge (stride 1) and its pool window and op (non-overlapping)
 from its stage's layers, and reads the weight block that
 :func:`~kernelpipe.netdef.layer_weights` gives the stage's first layer.
-Launch geometry: one work-item per output map (20 / 50 / 50 / 1 / 1).  A
-conv stage runs in work-groups of 10 (2 and 5 groups) that share one local
-region, as the paper's processing units share BlockRAM: local item 0 reads
-the stage input from global memory once, runs the overflow check, and stages
-the stacked shifted slices as a (taps, positions) matrix; after a barrier
+Launch geometry: one work-item per output map (20 / 50 / 50 / 1 / 1), which
+it computes for every image of the batch.  A conv stage runs in work-groups
+of 10 (2 and 5 groups) that share one local region, as the paper's
+processing units share BlockRAM: local item 0 reads the batch's stage input
+from global memory once, runs the overflow check, and stages the stacked
+shifted slices as a (taps, images x positions) matrix; after a barrier
 every item reduces that matrix with its own filter in one matmul.
-Other stages run in work-groups of one.  Compute-unit replication reorders
+Other stages run in work-groups of one.  The overflow check runs per image
+in batch order, so a batch raises at the first stage where some image
+fails, with the message of the first such image: the message
+:func:`forward` gives for that image alone.  Compute-unit replication reorders
 a stage's groups only when some unit gets two or more of them: conv2's five
 under two to four units, never conv_pool1's two.  Pooling takes one strided
-slice per window offset, and a fully-connected layer is one matrix-vector
-product.
+slice per window offset, and a fully-connected layer is one matrix product
+over the batch.
 """
 
 from __future__ import annotations
@@ -110,26 +121,31 @@ def _overflow_check(q: QFormat, taps: int, wmax: int, bmax: int):
     ``bmax``.
 
     None when the format and actual weight magnitudes prove overflow
-    impossible; otherwise a function that raises
-    :class:`~kernelpipe.tensors.FixedPointOverflowError` when the input
-    values a kernel read (once per conv work-group, once per
-    fully-connected work-item) could overflow an accumulator.
+    impossible; otherwise a function that takes the input values a kernel
+    read (once per conv work-group, once per fully-connected work-item),
+    batch axis first, and raises
+    :class:`~kernelpipe.tensors.FixedPointOverflowError` for the first
+    image, in batch order, whose values could overflow an accumulator.
     """
     if accumulation_is_static_safe(taps, wmax, bmax, q):
         return None
-    return lambda x: check_accumulation_bound(taps, int(np.abs(x).max(initial=0)),
-                                              wmax, bmax, q)
+
+    def check(x):
+        for amax in np.abs(x).reshape(len(x), -1).max(axis=1):
+            check_accumulation_bound(taps, int(amax), wmax, bmax, q)
+
+    return check
 
 
 def _pool_plane(pool: LayerSpec, q: QFormat):
-    """Pool one (H, W) plane, which the window tiles, with one strided slice
-    per window offset: the slices' max, or their sum's round-to-nearest-even
-    average saturated to ``q``."""
+    """Pool the trailing (H, W) planes, which the window tiles, with one
+    strided slice per window offset: the slices' max, or their sum's
+    round-to-nearest-even average saturated to ``q``."""
     size = pool.window
     area = size * size
 
     def reduce(plane):
-        views = [plane[dy::size, dx::size] for dy in range(size) for dx in range(size)]
+        views = [plane[..., dy::size, dx::size] for dy in range(size) for dx in range(size)]
         if pool.pool_op == MAX_POOL:
             return np.maximum.reduce(views)
         return np.clip(div_round_even_array(sum(views), area), q.raw_min, q.raw_max)
@@ -137,13 +153,14 @@ def _pool_plane(pool: LayerSpec, q: QFormat):
     return reduce
 
 
-def _make_conv(layers, inp: Shape, q: QFormat, check, dot_dtype):
+def _make_conv(layers, inp: Shape, batch: int, q: QFormat, check, dot_dtype):
     """Stride-1 valid convolution, fused with pooling when the stage has a
-    pool layer.  Local item 0 reads the whole input once per work-group,
-    casts it to ``dot_dtype`` and stages its shifted slices in the local
-    region ``cols``; after the barrier, work-item m reduces them with filter
-    m, adds bias m in int64, narrows its conv map, pools it if fused, and
-    writes output map m."""
+    pool layer.  Local item 0 reads the whole batch's input once per
+    work-group, casts it to ``dot_dtype`` and stages its shifted slices in
+    the local region ``cols``, one column per image and output position;
+    after the barrier, work-item m reduces them with filter m, adds bias m
+    in int64, narrows its conv maps, pools them if fused, and writes output
+    map m of every image."""
     pool = _pool_plane(layers[1], q) if len(layers) > 1 else None
     frac = q.frac_bits
     k = layers[0].kernel
@@ -157,63 +174,73 @@ def _make_conv(layers, inp: Shape, q: QFormat, check, dot_dtype):
             x = ctx.regions["src"].read(Ellipsis)
             if check:
                 check(x)
-            x = x.astype(dot_dtype, copy=False)
+            x = x.astype(dot_dtype, copy=False).swapaxes(0, 1)  # (channels, images, H, W)
             cols.write(Ellipsis, np.stack(
-                [x[:, dy:dy + oh, dx:dx + ow] for dy in range(k) for dx in range(k)],
+                [x[..., dy:dy + oh, dx:dx + ow] for dy in range(k) for dx in range(k)],
                 axis=1).reshape(-1))
         yield
         w = ctx.regions["wts"].read(m)
         b = ctx.regions["bias"].read(m)
-        conv = w.reshape(-1) @ cols.read(Ellipsis).reshape(taps, oh * ow)
-        conv = narrow_array(conv.astype(np.int64, copy=False).reshape(oh, ow)
+        conv = w.reshape(-1) @ cols.read(Ellipsis).reshape(taps, batch * oh * ow)
+        conv = narrow_array(conv.astype(np.int64, copy=False).reshape(batch, oh, ow)
                             + (int(b) << frac), q)
-        ctx.regions["dst"].write(m, pool(conv) if pool else conv)
+        ctx.regions["dst"].write((slice(None), m), pool(conv) if pool else conv)
         ctx.count_macs(conv.size * w.size)
 
-    return body, {"cols": (taps * oh * ow, dot_dtype)}
+    return body, {"cols": (taps * batch * oh * ow, dot_dtype)}
 
 
-def _make_pool(layers, inp: Shape, q: QFormat, check, dot_dtype):
+def _make_pool(layers, inp: Shape, batch: int, q: QFormat, check, dot_dtype):
     (pool,) = layers
     reduce = _pool_plane(pool, q)
 
     def body(ctx):
-        (c,) = ctx.global_id
-        ctx.regions["dst"].write(c, reduce(ctx.regions["src"].read(c)))
+        key = (slice(None), *ctx.global_id)
+        ctx.regions["dst"].write(key, reduce(ctx.regions["src"].read(key)))
 
     return body, {}
 
 
-def _make_fc(layers, inp: Shape, q: QFormat, check, dot_dtype):
-    """The whole fully-connected layer as one work-item: one matrix-vector
-    product in ``dot_dtype``, the bias added in int64, one narrowing, then
-    ReLU when the stage has it."""
+def _make_fc(layers, inp: Shape, batch: int, q: QFormat, check, dot_dtype):
+    """The whole fully-connected layer as one work-item: one matrix product
+    over the batch in ``dot_dtype``, the bias added in int64, one narrowing,
+    then ReLU when the stage has it."""
     relu = layers[-1].kind == "relu"
     frac = q.frac_bits
 
     def body(ctx):
-        x = ctx.regions["src"].read(Ellipsis).ravel()
+        x = ctx.regions["src"].read(Ellipsis).reshape(batch, -1)
         w = ctx.regions["wts"].read(Ellipsis)
         b = ctx.regions["bias"].read(Ellipsis)
         if check:
             check(x)
-        dot = (w @ x.astype(dot_dtype, copy=False)).astype(np.int64, copy=False)
+        dot = (x.astype(dot_dtype, copy=False) @ w.T).astype(np.int64, copy=False)
         out = narrow_array(dot + (b << frac), q)
         ctx.regions["dst"].write(Ellipsis, np.maximum(out, 0) if relu else out)
-        ctx.count_macs(w.size)
+        ctx.count_macs(batch * w.size)
 
     return body, {}
 
 
-#: Kernel factory ``(stage layers, stage input shape, format, overflow check,
-#: dot-product dtype) -> (body, local region (count, dtype) specs)`` per kind
-#: of a stage's first layer.
+#: Kernel factory ``(stage layers, one image's stage input shape, batch size,
+#: format, overflow check, dot-product dtype) -> (body, local region (count,
+#: dtype) specs)`` per kind of a stage's first layer.
 _KERNEL_FACTORIES = {"conv": _make_conv, "pool": _make_pool, "fully_connected": _make_fc}
 
 
 def forward(image: np.ndarray, store: WeightStore, mode: ParallelMode | None = None,
             pool_op: str = MAX_POOL) -> ForwardResult:
-    """Run the five-stage pipeline on one image of the network's input shape.
+    """Run the five-stage pipeline on one image of the network's input
+    shape: :func:`forward_batch` of a batch of one."""
+    return forward_batch([image], store, mode, pool_op)[0]
+
+
+def forward_batch(images, store: WeightStore, mode: ParallelMode | None = None,
+                  pool_op: str = MAX_POOL) -> list[ForwardResult]:
+    """Run the five-stage pipeline on a non-empty batch of images of the
+    network's input shape, on one queue: one weight upload and one launch
+    per stage.  Returns one result per image, in order; each stage result
+    carries its batch command's counters.
 
     ``store`` must be fixed-point; float64 results come from
     :func:`kernelpipe.reference.forward_float`.  ``mode`` widens the
@@ -225,17 +252,21 @@ def forward(image: np.ndarray, store: WeightStore, mode: ParallelMode | None = N
     spec = lenet5_spec(pool_op)
     io = stage_io_shapes(spec)
     mode = mode or ParallelMode()
-    image = np.asarray(image, dtype=np.float64)
     in_shape = spec.input_shape.dims
-    if image.shape != in_shape:
-        raise ValueError(f"image must have shape {in_shape}, got {image.shape}")
+    images = [np.asarray(image, dtype=np.float64) for image in images]
+    if not images:
+        raise ValueError("at least one image is required")
+    for image in images:
+        if image.shape != in_shape:
+            raise ValueError(f"image must have shape {in_shape}, got {image.shape}")
+    batch = len(images)
 
     def buf(name, shape, dtype=np.int64):
         return Buffer(name, shape, dtype=dtype, element_bytes=q.element_bytes)
 
-    bufs = {"input": buf("input", in_shape)}
+    bufs = {"input": buf("input", (batch, *in_shape))}
     for name, (_, out_shape) in io.items():
-        bufs[f"out_{name}"] = buf(f"out_{name}", out_shape.dims)
+        bufs[f"out_{name}"] = buf(f"out_{name}", (batch, *out_shape.dims))
     arrays = store.arrays()
 
     blocks = layer_weights(spec)
@@ -255,13 +286,13 @@ def forward(image: np.ndarray, store: WeightStore, mode: ParallelMode | None = N
             bufs[bname] = buf(bname, arrays[bname].shape)
             bindings.update(wts=bufs[wname], bias=bufs[bname])
         body, local_specs = _KERNEL_FACTORIES[layers[0].kind](
-            layers, io[name][0], q, check, dot_dtype)
+            layers, io[name][0], batch, q, check, dot_dtype)
         kernels.append(KernelDef(name, body, mode=mode, bindings=bindings,
                                  local_specs=local_specs))
         src = bindings["dst"]
 
     queue = CommandQueue()
-    waits = [queue.enqueue_write(bufs["input"], quantize_array(image, q))]
+    waits = [queue.enqueue_write(bufs["input"], quantize_array(np.stack(images), q))]
     waits += [queue.enqueue_write(bufs[wname], arr) for wname, arr in arrays.items()]
     ndranges = stage_ndranges(spec)
     for kernel in kernels:
@@ -270,20 +301,22 @@ def forward(image: np.ndarray, store: WeightStore, mode: ParallelMode | None = N
 
     *kernel_records, read_record = queue.run()
     records = {rec.name: rec for rec in kernel_records}
-    stages = tuple(
-        StageResult(
-            name=name,
-            output=Tensor(io[name][1], bufs[f"out_{name}"].array, q),
-            bytes_read=records[name].unique_bytes_read,
-            bytes_written=records[name].unique_bytes_written,
-            macs=records[name].macs,
-        )
-        for name, _, _ in spec.stage_grouping
-    )
     raw_logits = read_record.data
-    return ForwardResult(
-        logits=dequantize_array(raw_logits, q),
-        raw_logits=raw_logits,
-        winner=winner_digit(raw_logits),
-        stages=stages,
-    )
+    return [
+        ForwardResult(
+            logits=dequantize_array(raw_logits[i], q),
+            raw_logits=raw_logits[i],
+            winner=winner_digit(raw_logits[i]),
+            stages=tuple(
+                StageResult(
+                    name=name,
+                    output=Tensor(io[name][1], bufs[f"out_{name}"].array[i], q),
+                    bytes_read=records[name].unique_bytes_read,
+                    bytes_written=records[name].unique_bytes_written,
+                    macs=records[name].macs,
+                )
+                for name, _, _ in spec.stage_grouping
+            ),
+        )
+        for i in range(batch)
+    ]

@@ -2,9 +2,10 @@
 before classification degrades.
 
 Each candidate format quantizes weights and activations (activations pick up
-the format implicitly through stage-boundary narrowing), runs the engine
-forward pass on every image, and measures the absolute logit error and
-winner agreement against the float64 reference.
+the format implicitly through stage-boundary narrowing), runs the engine on
+the images in batches of up to :data:`BATCH_SIZE` (one command queue each),
+and measures the absolute logit error and winner agreement against the
+float64 reference.
 """
 
 from __future__ import annotations
@@ -17,6 +18,11 @@ from . import pipeline, reference
 from .netdef import MAX_POOL
 from .tensors import QFormat
 from .weights import WeightStore
+
+
+#: Most images one engine batch holds; it caps conv2's local region at
+#: 32 x 32,000 float64 elements (8 MB).
+BATCH_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -54,12 +60,12 @@ def sweep_precision(store: WeightStore, images, formats: list[QFormat],
     results = []
     for q in formats:
         fixed_store = store.quantize(q)
-        errors = np.zeros((len(images), float_logits[0].size))
-        agreements = 0
-        for i, img in enumerate(images):
-            result = pipeline.forward(img, fixed_store, pool_op=pool_op)
-            errors[i] = np.abs(result.logits - float_logits[i])
-            agreements += result.winner == reference.winner_digit(float_logits[i])
+        engine = [result for start in range(0, len(images), BATCH_SIZE)
+                  for result in pipeline.forward_batch(images[start:start + BATCH_SIZE],
+                                                       fixed_store, pool_op=pool_op)]
+        errors = np.array([np.abs(r.logits - f) for r, f in zip(engine, float_logits)])
+        agreements = sum(r.winner == reference.winner_digit(f)
+                         for r, f in zip(engine, float_logits))
         results.append(SweepResult(
             qformat=q,
             max_abs_logit_error=float(errors.max()),

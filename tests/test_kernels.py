@@ -237,6 +237,100 @@ class TestCountsAndShapes:
         assert reads["out_conv_pool1"] == 5
 
 
+def stage_raws(result) -> dict[str, np.ndarray]:
+    return {stage.name: stage.output.values for stage in result.stages}
+
+
+class TestForwardBatch:
+    """A batch runs on one queue; each of its results equals the image's own
+    forward pass and the quantized reference, and its counters equal the
+    batch footprint."""
+
+    FORMATS = [QFormat(8, 4), QFormat(12, 6), Q, QFormat(24, 12), QFormat(32, 16),
+               QFormat(32, 24)]
+    MODES = [ParallelMode(), ParallelMode("simd", 8, cu_count=3),
+             ParallelMode("unroll", 4, cu_count=2)]
+
+    @settings(max_examples=20)
+    @given(st.lists(st.integers(0, 7), min_size=1, max_size=4),
+           st.sampled_from(FORMATS), st.sampled_from([MAX_POOL, AVG_POOL]),
+           st.sampled_from(MODES))
+    def test_batch_equals_per_image_runs(self, store42, images42, indices, q, pool_op, mode):
+        fixed = store42.quantize(q)
+        images = [images42[i] for i in indices]
+        results = pipeline.forward_batch(images, fixed, mode=mode, pool_op=pool_op)
+        assert len(results) == len(images)
+        for image, result in zip(images, results):
+            single = pipeline.forward(image, fixed, mode=mode, pool_op=pool_op)
+            raw_logits, stages = reference.forward_quantized(image, fixed, pool_op=pool_op)
+            assert np.array_equal(result.raw_logits, single.raw_logits)
+            assert np.array_equal(result.raw_logits, raw_logits)
+            assert result.winner == single.winner
+            assert np.array_equal(result.logits, single.logits)
+            single_raws = stage_raws(single)
+            for name, values in stage_raws(result).items():
+                assert np.array_equal(values, single_raws[name]), name
+                assert np.array_equal(values, stages[name]), name
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("pool_op", [MAX_POOL, AVG_POOL])
+    def test_counters_equal_batch_footprint(self, fixed42, images42, n, pool_op):
+        spec = lenet5_spec(pool_op)
+        results = pipeline.forward_batch(images42[:n], fixed42, pool_op=pool_op)
+        for result in results:
+            for stage in result.stages:
+                fp = kernel_footprint(spec, stage.name, Q, batch=n)
+                assert (stage.bytes_read, stage.bytes_written, stage.macs) == (
+                    fp.bytes_read, fp.bytes_written, fp.macs), (n, stage.name)
+
+    @staticmethod
+    def guard_store(**blocks):
+        """At Q32.24, conv2 (500 all-one taps after all-one conv1 filters
+        with bias 10) trips on an image of ones (inputs of 35) or of 0.95
+        (33.75) but not on zeros (10)."""
+        return store_with(conv1_w=np.ones((20, 1, 5, 5)), conv1_b=np.full(20, 10.0),
+                          conv2_w=np.ones((50, 20, 5, 5)), **blocks).quantize(QFormat(32, 24))
+
+    @staticmethod
+    def message(image, store) -> str:
+        with pytest.raises(FixedPointOverflowError) as exc:
+            pipeline.forward(image, store)
+        return str(exc.value)
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_overflow_raises_the_failing_images_own_message(self, k):
+        store = self.guard_store()
+        images = [np.zeros((1, 28, 28)) for _ in range(3)]
+        images[k] = np.full((1, 28, 28), 0.95)
+        for other in (i for i in range(3) if i != k):
+            pipeline.forward(images[other], store)  # the others pass alone
+        expected = self.message(images[k], store)
+        with pytest.raises(FixedPointOverflowError) as exc:
+            pipeline.forward_batch(images, store)
+        assert str(exc.value) == expected
+
+    def test_overflow_order_is_stage_then_batch(self):
+        # all-one ip1 weights trip on the saturated conv2 output of zeros, so
+        # zeros fails only at ip1 and the later images at conv2: the batch
+        # raises at conv2, with the first conv2 failure's message
+        store = self.guard_store(ip1_w=np.ones((500, 800)))
+        zeros, near, ones = (np.full((1, 28, 28), v) for v in (0.0, 0.95, 1.0))
+        messages = [self.message(image, store) for image in (zeros, near, ones)]
+        assert "800 taps" in messages[0] and "500 taps" in messages[1]
+        assert len(set(messages)) == 3
+        with pytest.raises(FixedPointOverflowError) as exc:
+            pipeline.forward_batch([zeros, near, ones], store)
+        assert str(exc.value) == messages[1]
+
+    def test_empty_batch_rejected(self, fixed42):
+        with pytest.raises(ValueError, match="at least one image"):
+            pipeline.forward_batch([], fixed42)
+
+    def test_misshapen_image_rejected(self, fixed42, images42):
+        with pytest.raises(ValueError, match=r"got \(1, 27, 28\)"):
+            pipeline.forward_batch([images42[0], np.zeros((1, 27, 28))], fixed42)
+
+
 class TestReferenceProperties:
     def test_zero_weights_zero_logits(self, image42):
         logits, _ = reference.forward_float(image42, zero_weights())

@@ -325,6 +325,39 @@ class TestRegionAccess:
         q.run()
         assert out.array.tolist() == [1, 2, 3, 4]
 
+    def test_write_enqueued_before_kernel_runs(self):
+        # the in-order queue runs the copy before the kernel that freezes
+        # the region, so the host write is allowed
+        table = Buffer("table", 4, kind=CONSTANT)
+        out = Buffer("out", 4)
+
+        def body(ctx):
+            out.write(ctx.global_id, ctx.regions["table"].read(ctx.global_id[0]))
+
+        q = CommandQueue()
+        ev = q.enqueue_write(table, np.array([1, 2, 3, 4]))
+        q.enqueue_kernel(KernelDef("lut", body, bindings={"table": table, "out": out}),
+                         NdRange((4,), (2,)), waits=[ev])
+        q.run()
+        assert out.array.tolist() == [1, 2, 3, 4]
+
+    def test_write_enqueued_after_kernel_rejected_at_enqueue(self):
+        table = Buffer("table", 4, kind=CONSTANT)
+        q = CommandQueue()
+        q.enqueue_kernel(KernelDef("lut", lambda ctx: None, bindings={"table": table}),
+                         NdRange((4,), (2,)))
+        with pytest.raises(RegionAccessViolation, match="frozen after kernel launch"):
+            q.enqueue_write(table, np.ones(4))
+        q.run()
+        assert not table.array.any()
+
+    @pytest.mark.parametrize("region", [Buffer("l", 4, kind=LOCAL, owner_group=(0,)),
+                                        Buffer("p", 4, kind=PRIVATE, owner_item=(0,))],
+                             ids=[LOCAL, PRIVATE])
+    def test_host_transfer_into_item_region_rejected_at_enqueue(self, region):
+        with pytest.raises(RegionAccessViolation, match=f"write of {region.kind} region"):
+            CommandQueue().enqueue_write(region, np.ones(4))
+
     def test_violation_aborts_kernel(self):
         # a work-item reaches for another item's private region
         foreign = Buffer("p", 4, kind=PRIVATE, owner_item=(7,))

@@ -130,6 +130,27 @@ class TestFootprints:
         with pytest.raises(KeyError):
             kernel_footprint(SPEC, "conv9", Q)
 
+    def test_batch_of_one_is_the_single_image_footprint(self):
+        expected = {"conv_pool1": (288_000, (784 + 520) * 2, 2880 * 2),
+                    "conv2": (1_600_000, (2880 + 25_050) * 2, 3200 * 2),
+                    "pool2": (0, 3200 * 2, 800 * 2),
+                    "ip1_relu": (400_000, (800 + 400_500) * 2, 500 * 2),
+                    "ip2": (5_000, (500 + 5010) * 2, 10 * 2)}
+        for stage, counts in expected.items():
+            fp = kernel_footprint(SPEC, stage, Q, batch=1)
+            assert fp == kernel_footprint(SPEC, stage, Q)
+            assert (fp.macs, fp.bytes_read, fp.bytes_written) == counts, stage
+
+    def test_batch_fetches_weights_once(self):
+        fp = kernel_footprint(SPEC, "ip2", Q, batch=3)
+        assert fp.macs == 3 * 5_000
+        assert fp.bytes_read == (3 * 500 + 5010) * 2
+        assert fp.bytes_written == 3 * 10 * 2
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="batch"):
+            kernel_footprint(SPEC, "ip2", Q, batch=0)
+
 
 def mhz200(**kwargs):
     defaults = dict(name="test", compute_clock_hz=200e6, ddr_transfer_rate_mt=800,

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from kernelpipe import fixtures, pipeline, reference
-from kernelpipe.sweep import default_sweep_grid, sweep_precision
+from kernelpipe.ocl import CommandQueue
+from kernelpipe.sweep import BATCH_SIZE, default_sweep_grid, sweep_precision
 from kernelpipe.tensors import QFormat
 from kernelpipe.weights import WEIGHT_SHAPES, WeightStore
 
@@ -75,6 +76,22 @@ class TestSweepPrecision:
     def test_fixed_store_rejected(self, fixed42, images42):
         with pytest.raises(ValueError):
             sweep_precision(fixed42, [images42[0]], [Q])
+
+    @pytest.mark.parametrize("n_images, n_formats, runs", [(2, 3, 3), (BATCH_SIZE + 1, 1, 2)])
+    def test_one_queue_per_format_and_batch(self, store42, monkeypatch,
+                                            n_images, n_formats, runs):
+        counted = []
+        run = CommandQueue.run
+
+        def counting_run(self):
+            counted.append(self)
+            return run(self)
+
+        monkeypatch.setattr(CommandQueue, "run", counting_run)
+        images = list(fixtures.synthetic_images(5, n_images))
+        formats = [QFormat(12, 6), Q, QFormat(24, 12)][:n_formats]
+        sweep_precision(store42, images, formats)
+        assert len(counted) == runs
 
     def test_default_grid(self):
         grid = default_sweep_grid()
