@@ -25,7 +25,7 @@ import numpy as np
 from . import fixtures, ingest, perf, pipeline, reference, sweep
 from .netdef import AVG_POOL, MAX_POOL, lenet5_spec
 from .ocl import MODE_NONE, MODE_SIMD, MODE_UNROLL, ParallelMode
-from .tensors import QFormat
+from .tensors import DEFAULT_QFORMAT, QFormat
 
 
 def _load_env_config() -> tuple[dict, dict]:
@@ -211,8 +211,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_format(p):
-        p.add_argument("--qbits", type=int, default=16, help="fixed-point total bits")
-        p.add_argument("--qfrac", type=int, default=8, help="fixed-point fractional bits")
+        p.add_argument("--qbits", type=int, default=DEFAULT_QFORMAT.total_bits,
+                       help="fixed-point total bits")
+        p.add_argument("--qfrac", type=int, default=DEFAULT_QFORMAT.frac_bits,
+                       help="fixed-point fractional bits")
 
     def add_widths(p):
         p.add_argument("--factor", type=int, default=4, help="unroll factor")

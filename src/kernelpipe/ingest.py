@@ -43,10 +43,6 @@ class FileFormatError(ValueError):
         self.line = line
 
 
-class IdxFormatError(ValueError):
-    pass
-
-
 def _parse_float(tok: str, path, lineno: int) -> float:
     """One finite decimal float token; anything else names the file and line."""
     try:
@@ -178,7 +174,7 @@ def write_image_text(image: np.ndarray, path):
 def _read_be32(f, path, what) -> int:
     data = f.read(4)
     if len(data) != 4:
-        raise IdxFormatError(f"{path}: truncated file while reading {what}")
+        raise FileFormatError(path, 0, f"truncated file while reading {what}")
     return struct.unpack(">i", data)[0]
 
 
@@ -193,32 +189,33 @@ def load_mnist_idx(images_path, labels_path, count: int) -> list[tuple[np.ndarra
     with open(images_path, "rb") as f:
         magic = _read_be32(f, images_path, "magic")
         if magic != IDX_IMAGE_MAGIC:
-            raise IdxFormatError(
-                f"{images_path}: bad image magic {magic} (expected {IDX_IMAGE_MAGIC})")
+            raise FileFormatError(images_path, 0,
+                                  f"bad image magic {magic} (expected {IDX_IMAGE_MAGIC})")
         n = _read_be32(f, images_path, "count")
         rows = _read_be32(f, images_path, "rows")
         cols = _read_be32(f, images_path, "cols")
         if (rows, cols) != (height, width):
-            raise IdxFormatError(
-                f"{images_path}: expected {height}x{width} images, got {rows}x{cols}")
+            raise FileFormatError(images_path, 0,
+                                  f"expected {height}x{width} images, got {rows}x{cols}")
         if count > n:
-            raise IdxFormatError(f"{images_path}: requested {count} images, file has {n}")
+            raise FileFormatError(images_path, 0, f"requested {count} images, file has {n}")
         data = f.read(count * rows * cols)
         if len(data) != count * rows * cols:
-            raise IdxFormatError(f"{images_path}: truncated pixel data")
+            raise FileFormatError(images_path, 0, "truncated pixel data")
         pixels = np.frombuffer(data, dtype=np.uint8).reshape(count, rows, cols)
 
     with open(labels_path, "rb") as f:
         magic = _read_be32(f, labels_path, "magic")
         if magic != IDX_LABEL_MAGIC:
-            raise IdxFormatError(
-                f"{labels_path}: bad label magic {magic} (expected {IDX_LABEL_MAGIC})")
+            raise FileFormatError(labels_path, 0,
+                                  f"bad label magic {magic} (expected {IDX_LABEL_MAGIC})")
         n_labels = _read_be32(f, labels_path, "count")
         if count > n_labels:
-            raise IdxFormatError(f"{labels_path}: requested {count} labels, file has {n_labels}")
+            raise FileFormatError(labels_path, 0,
+                                  f"requested {count} labels, file has {n_labels}")
         data = f.read(count)
         if len(data) != count:
-            raise IdxFormatError(f"{labels_path}: truncated label data")
+            raise FileFormatError(labels_path, 0, "truncated label data")
         labels = np.frombuffer(data, dtype=np.uint8)
 
     pairs = []
@@ -226,7 +223,7 @@ def load_mnist_idx(images_path, labels_path, count: int) -> list[tuple[np.ndarra
         image = pixels[i].astype(np.float64).reshape(INPUT_SHAPE.dims) / 255.0
         label = int(labels[i])
         if not 0 <= label <= 9:
-            raise IdxFormatError(f"{labels_path}: label {label} out of range 0..9")
+            raise FileFormatError(labels_path, 0, f"label {label} out of range 0..9")
         pairs.append((image, label))
     return pairs
 

@@ -4,9 +4,10 @@ The device is a hierarchy of compute units and processing elements only in
 the cost model's eyes; functionally this package executes kernels as host
 Python callables over an NDRange index space, with the four memory regions
 (global / constant / local / private), their visibility rules, and an
-in-order event-driven command queue.  Every local, private and constant
-access is checked against the running work-item, or the host outside a
-kernel; each command reports the global bytes it first touched.
+in-order command queue that gives each command one completion event.
+Every local, private and constant access is checked against the running
+work-item, or the host outside a kernel; each command reports the global
+bytes it first touched.
 """
 
 from .ndrange import NdRange
@@ -29,7 +30,7 @@ from .kernel import (
     MODE_UNROLL,
     MODE_SIMD,
 )
-from .queue import CommandQueue, CommandRecord, Event, QueueDeadlockError, QueueError
+from .queue import CommandQueue, CommandRecord, Event, QueueError
 
 __all__ = [
     "NdRange",
@@ -51,6 +52,5 @@ __all__ = [
     "CommandQueue",
     "CommandRecord",
     "Event",
-    "QueueDeadlockError",
     "QueueError",
 ]

@@ -113,17 +113,10 @@ class Buffer:
             self._read_mask = np.zeros(shape, dtype=bool)
             self._write_mask = np.zeros(shape, dtype=bool)
 
-    def _check(self, scope: AccessScope, op: str):
-        violation = check_region_access(self, scope, op)
+    def _check(self, op: str):
+        violation = check_region_access(self, current_accessor, op)
         if violation is not None:
             raise violation
-
-    # -- host-side setup -------------------------------------------------
-
-    def host_init(self, values):
-        """Uncounted host initialization (use queue transfers for counted copies)."""
-        self._check(HOST_SCOPE, "write")
-        self.array[...] = values
 
     def freeze(self):
         self.frozen = True
@@ -141,14 +134,14 @@ class Buffer:
         if self._counted:
             self._read_mask[key] = True
         else:
-            self._check(current_accessor, "read")
+            self._check("read")
         return self.array[key]
 
     def write(self, key, value):
         if self._counted:
             self._write_mask[key] = True
         else:
-            self._check(current_accessor, "write")
+            self._check("write")
         self.array[key] = value
 
     # -- per-command accounting epochs ------------------------------------
@@ -162,5 +155,5 @@ class Buffer:
         """(unique read, unique written) bytes since begin_epoch."""
         if not self._counted:
             return (0, 0)
-        return (int(self._read_mask.sum()) * self.element_bytes,
-                int(self._write_mask.sum()) * self.element_bytes)
+        return (int(np.count_nonzero(self._read_mask)) * self.element_bytes,
+                int(np.count_nonzero(self._write_mask)) * self.element_bytes)

@@ -16,27 +16,21 @@ class NdRange:
 
     global_size: tuple[int, ...]
     local_size: tuple[int, ...]
-    offset: tuple[int, ...] = ()
 
     def __post_init__(self):
         gsz = tuple(int(g) for g in self.global_size)
         lsz = tuple(int(l) for l in self.local_size)
-        off = tuple(int(o) for o in self.offset) if self.offset else (0,) * len(gsz)
         if not 1 <= len(gsz) <= 3:
             raise ValueError(f"NDRange dims must be 1..3, got {len(gsz)}")
-        if len(lsz) != len(gsz) or len(off) != len(gsz):
-            raise ValueError("global, local and offset must have matching dims")
+        if len(lsz) != len(gsz):
+            raise ValueError("global and local must have matching dims")
         for g, l in zip(gsz, lsz):
             if g < 1 or l < 1:
                 raise ValueError(f"extents must be >= 1: global={gsz} local={lsz}")
             if g % l != 0:
                 raise ValueError(f"global size {g} not divisible by local size {l}")
-        for o in off:
-            if o < 0:
-                raise ValueError(f"offsets must be >= 0, got {off}")
         object.__setattr__(self, "global_size", gsz)
         object.__setattr__(self, "local_size", lsz)
-        object.__setattr__(self, "offset", off)
 
     @property
     def dims(self) -> int:
@@ -76,7 +70,4 @@ class NdRange:
         return itertools.product(*(range(l) for l in self.local_size))
 
     def global_id(self, group_id: tuple[int, ...], local_id: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(
-            o + g * l + i
-            for o, g, l, i in zip(self.offset, group_id, self.local_size, local_id)
-        )
+        return tuple(g * l + i for g, l, i in zip(group_id, self.local_size, local_id))

@@ -1,11 +1,10 @@
 """In-order command queue with completion events and access statistics.
 
-Three command kinds exist: kernel launches, host<->global memory transfers,
-and synchronization markers.  Every command carries a completion event and
-an optional wait-list; a command never starts before every event in its
-wait-list has fired.  The queue is in-order, so a wait on an event attached
-to a later command (or to no command) can never be satisfied and is reported
-as a deadlock instead of hanging.
+Three command kinds exist: kernel launches, host -> device writes and
+device -> host reads of global memory.  Every enqueue returns the new
+command's completion event and takes an optional wait-list of events of
+earlier commands of the same queue; since the queue is in-order, each of
+them has fired by the time the waiting command starts.
 
 ``run`` returns one :class:`CommandRecord` per command: the start order plus
 one byte count each way for global memory -- the bytes the command first
@@ -17,7 +16,6 @@ when it is enqueued.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,31 +29,15 @@ class QueueError(RuntimeError):
     pass
 
 
-class QueueDeadlockError(QueueError):
-    """Event dependencies cannot be satisfied by in-order execution."""
-
-
 class Event:
-    """Completion event of one command.  It refers to its queue weakly: the
-    queue holds its events, and a cycle would keep every buffer of a finished
-    run alive until the cyclic GC runs."""
+    """Completion event of one command."""
 
-    _next_id = 0
-
-    def __init__(self, queue: "CommandQueue"):
-        self._queue = weakref.ref(queue)
-        self.id = Event._next_id
-        Event._next_id += 1
-        self.command_index: int | None = None  # position of the attached command
+    def __init__(self, command_index: int):
+        self.command_index = command_index  # position of the command in its queue
         self.fired = False
 
-    @property
-    def queue(self) -> "CommandQueue | None":
-        """The owning queue, or None once it has been freed."""
-        return self._queue()
-
     def __repr__(self):
-        return f"Event(id={self.id}, command={self.command_index}, fired={self.fired})"
+        return f"Event(command={self.command_index}, fired={self.fired})"
 
 
 @dataclass
@@ -72,7 +54,7 @@ class CommandRecord:
 
 @dataclass
 class _Command:
-    kind: str  # "kernel" | "write" | "read" | "marker"
+    kind: str  # "kernel" | "write" | "read"
     name: str
     waits: tuple[Event, ...]
     event: Event
@@ -95,53 +77,36 @@ class CommandQueue:
         self._commands: list[_Command] = []
         self._ran = False
 
-    # -- events ----------------------------------------------------------
-
-    def reserve_event(self) -> Event:
-        """Create an event to attach to a future command (enables wait-lists
-        that reference commands not yet enqueued)."""
-        return Event(self)
-
-    def _resolve_event(self, event: Event | None) -> Event:
-        if event is None:
-            return Event(self)
-        if event.queue is not self:
-            raise QueueError("completion event belongs to a different queue")
-        if event.command_index is not None:
-            raise QueueError("event is already attached to a command")
-        return event
-
     def _check_waits(self, waits) -> tuple[Event, ...]:
+        """Accept only events of this queue's commands: all of them are
+        earlier than the command being enqueued."""
         waits = tuple(waits)
         for ev in waits:
-            if not isinstance(ev, Event) or ev.queue is not self:
+            if not (isinstance(ev, Event) and ev.command_index < len(self._commands)
+                    and self._commands[ev.command_index].event is ev):
                 raise QueueError(f"wait-list event {ev!r} belongs to a different queue context")
         return waits
 
     # -- enqueue ---------------------------------------------------------
 
-    def _enqueue(self, kind: str, name: str, waits, event: Event | None,
-                 touched=(), **fields) -> Event:
-        """Append one command: check its wait-list, attach its completion
+    def _enqueue(self, kind: str, name: str, waits, touched=(), **fields) -> Event:
+        """Append one command: check its wait-list, create its completion
         event, and keep the global buffers it touches for byte counting."""
         waits = self._check_waits(waits)
-        event = self._resolve_event(event)
-        event.command_index = len(self._commands)
+        event = Event(len(self._commands))
         touched = tuple(b for b in touched if b.kind == GLOBAL)
         self._commands.append(_Command(kind, name, waits, event, touched=touched, **fields))
         return event
 
-    def enqueue_kernel(self, kernel: KernelDef, ndrange: NdRange,
-                       waits=(), event: Event | None = None) -> Event:
-        event = self._enqueue("kernel", kernel.name, waits, event, kernel.bindings.values(),
+    def enqueue_kernel(self, kernel: KernelDef, ndrange: NdRange, waits=()) -> Event:
+        event = self._enqueue("kernel", kernel.name, waits, kernel.bindings.values(),
                               kernel=kernel, ndrange=ndrange)
         for buf in kernel.bindings.values():
             if buf.kind == CONSTANT:
                 buf.freeze()
         return event
 
-    def enqueue_write(self, buffer: Buffer, host_data,
-                      waits=(), event: Event | None = None) -> Event:
+    def enqueue_write(self, buffer: Buffer, host_data, waits=()) -> Event:
         """Host -> device copy, non-blocking: as with ``clEnqueueWriteBuffer``
         and ``blocking_write=CL_FALSE``, the host must leave ``host_data``
         unchanged until the command's event fires; it is read when the
@@ -152,28 +117,17 @@ class CommandQueue:
         violation = check_region_access(buffer, HOST_SCOPE, "write")
         if violation is not None:
             raise violation
-        return self._enqueue("write", f"write:{buffer.name}", waits, event, (buffer,),
+        return self._enqueue("write", f"write:{buffer.name}", waits, (buffer,),
                              buffer=buffer, host_data=host_data)
 
-    def enqueue_read(self, buffer: Buffer, waits=(), event: Event | None = None) -> Event:
+    def enqueue_read(self, buffer: Buffer, waits=()) -> Event:
         """Device -> host copy; the copy lands in the command's record."""
-        return self._enqueue("read", f"read:{buffer.name}", waits, event, (buffer,),
-                             buffer=buffer)
-
-    def enqueue_marker(self, waits=(), event: Event | None = None) -> Event:
-        """Synchronization point; in an in-order queue it fires once every
-        earlier command has completed."""
-        return self._enqueue("marker", "marker", waits, event)
+        return self._enqueue("read", f"read:{buffer.name}", waits, (buffer,), buffer=buffer)
 
     # -- execution ---------------------------------------------------------
 
     def run(self) -> list[CommandRecord]:
-        """Execute all commands in order, honoring wait-lists.
-
-        Raises :class:`QueueDeadlockError` when a wait-list references an
-        event no earlier command will fire (a dependency cycle, or a reserved
-        event that was never attached).
-        """
+        """Execute all commands in order; every wait has fired by then."""
         if self._ran:
             raise QueueError("queue has already run")
         if not self._commands:
@@ -182,16 +136,6 @@ class CommandQueue:
 
         records: list[CommandRecord] = []
         for index, cmd in enumerate(self._commands):
-            for ev in cmd.waits:
-                if not ev.fired:
-                    attached = (
-                        f"command #{ev.command_index}" if ev.command_index is not None
-                        else "no command"
-                    )
-                    raise QueueDeadlockError(
-                        f"command #{index} ({cmd.name}) waits on event {ev.id} "
-                        f"attached to {attached}; an in-order queue cannot satisfy it"
-                    )
             record = CommandRecord(
                 index=index, kind=cmd.kind, name=cmd.name,
                 wait_positions=tuple(ev.command_index for ev in cmd.waits),
@@ -205,9 +149,8 @@ class CommandQueue:
                 record.macs = macs[0]
             elif cmd.kind == "write":
                 cmd.buffer.transfer_in(cmd.host_data)
-            elif cmd.kind == "read":
+            else:
                 record.data = np.array(cmd.buffer.read(Ellipsis), copy=True)
-            # markers execute nothing
 
             for buf in cmd.touched:
                 ur, uw = buf.epoch_stats()

@@ -106,8 +106,7 @@ class QFormat:
         return f"Q{self.total_bits}.{self.frac_bits}"
 
 
-#: Documented default: the precision-reduction sweep lets callers pick, this
-#: is what the pipeline uses when nothing else is requested.
+#: The default fixed-point format: the CLI's ``--qbits``/``--qfrac`` default.
 DEFAULT_QFORMAT = QFormat(16, 8)
 
 

@@ -8,7 +8,6 @@ from kernelpipe import fixtures
 from kernelpipe.ingest import (
     INPUT_SHAPE,
     FileFormatError,
-    IdxFormatError,
     load_config,
     load_image_text,
     load_mnist_idx,
@@ -159,7 +158,7 @@ class TestIdx:
         img_path, lab_path, _, _ = write_idx_pair(tmp_path, count=10)
         pairs = load_mnist_idx(img_path, lab_path, 10)
         assert [image.shape for image, _ in pairs] == [(1, 28, 28)] * 10
-        with pytest.raises(IdxFormatError, match="file has 10"):
+        with pytest.raises(FileFormatError, match="file has 10"):
             load_mnist_idx(img_path, lab_path, 11)
 
     def test_load_normalizes(self, tmp_path):
@@ -178,27 +177,27 @@ class TestIdx:
 
     def test_image_magic_in_label_slot(self, tmp_path):
         img_path, _, _, _ = write_idx_pair(tmp_path)
-        with pytest.raises(IdxFormatError, match="label magic"):
+        with pytest.raises(FileFormatError, match="label magic"):
             load_mnist_idx(img_path, img_path, 1)
 
     def test_bad_image_magic(self, tmp_path):
         img_path, lab_path, _, _ = write_idx_pair(tmp_path, image_magic=2049)
-        with pytest.raises(IdxFormatError, match="image magic"):
+        with pytest.raises(FileFormatError, match="image magic"):
             load_mnist_idx(img_path, lab_path, 1)
 
     def test_count_overflow(self, tmp_path):
         img_path, lab_path, _, _ = write_idx_pair(tmp_path, count=3)
-        with pytest.raises(IdxFormatError, match="file has 3"):
+        with pytest.raises(FileFormatError, match="file has 3"):
             load_mnist_idx(img_path, lab_path, 5)
 
     def test_truncated_pixels(self, tmp_path):
         img_path, lab_path, _, _ = write_idx_pair(tmp_path, truncate_images=True)
-        with pytest.raises(IdxFormatError, match="truncated"):
+        with pytest.raises(FileFormatError, match="truncated"):
             load_mnist_idx(img_path, lab_path, 3)
 
     def test_wrong_dims(self, tmp_path):
         img_path, lab_path, _, _ = write_idx_pair(tmp_path, rows=27)
-        with pytest.raises(IdxFormatError, match="28x28"):
+        with pytest.raises(FileFormatError, match="28x28"):
             load_mnist_idx(img_path, lab_path, 1)
 
 
