@@ -1,11 +1,12 @@
 import csv
 import json
+import struct
 from pathlib import Path
 
 import pytest
 
 from kernelpipe import fixtures
-from kernelpipe.cli import main
+from kernelpipe.cli import build_parser, main
 from kernelpipe.ingest import (
     read_results_csv,
     read_sweep_csv,
@@ -22,7 +23,7 @@ from kernelpipe.perf import (
     platform_catalog,
 )
 from kernelpipe.sweep import default_sweep_grid
-from kernelpipe.tensors import QFormat
+from kernelpipe.tensors import DEFAULT_QFORMAT, QFormat
 
 PUBLISHED_TIMES = {
     "conv_pool1": ((3.63, 1.96, 1.96), (1.01, 1.01, 0.98)),
@@ -353,10 +354,26 @@ class TestUsageErrors:
         assert main([fill.get(arg, arg) for arg in argv]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_bad_idx_file_exits_1(self, fixture_files, tmp_path, capsys):
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        images.write_bytes(struct.pack(">iiii", 2049, 1, 28, 28) + bytes(784))
+        labels.write_bytes(struct.pack(">ii", 2049, 1) + bytes(1))
+        assert main(["classify", "--weights", fixture_files["weights"][0], "--mnist",
+                     str(images), str(labels), "--count", "1"]) == 1
+        assert f"error: {images}:0: bad image magic 2049" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["classify", "bench", "sweep", "stream", "fixtures"])
     def test_help_exits_0(self, command, capsys):
         assert main([command, "--help"]) == 0
         assert "usage" in capsys.readouterr().out
+
+
+class TestDefaults:
+    def test_format_defaults_are_default_qformat(self):
+        for argv in (["classify", "--weights", "w"], ["bench"],
+                     ["stream", "--platform", "altera", "--interval", "1"]):
+            args = build_parser().parse_args(argv)
+            assert QFormat(args.qbits, args.qfrac) == DEFAULT_QFORMAT
 
 
 class TestGoldenModel:

@@ -200,6 +200,14 @@ class TestIdx:
         with pytest.raises(FileFormatError, match="28x28"):
             load_mnist_idx(img_path, lab_path, 1)
 
+    def test_errors_name_the_file_as_a_whole(self, tmp_path):
+        # line 0: an IDX file is binary, so the error names the file alone
+        img_path, lab_path, _, _ = write_idx_pair(tmp_path, label_magic=2051)
+        with pytest.raises(FileFormatError) as info:
+            load_mnist_idx(img_path, lab_path, 1)
+        assert (info.value.path, info.value.line) == (str(lab_path), 0)
+        assert str(info.value).startswith(f"{lab_path}:0: bad label magic")
+
 
 def sample_records():
     return [

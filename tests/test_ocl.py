@@ -19,6 +19,7 @@ from kernelpipe.ocl import (
     RegionAccessViolation,
     check_region_access,
 )
+from kernelpipe import ocl
 from kernelpipe.ocl.kernel import group_schedule
 from kernelpipe.ocl import memory
 from kernelpipe.ocl.memory import HOST_SCOPE
@@ -46,7 +47,6 @@ class TestNdRange:
     def test_dims_bounds(self):
         with pytest.raises(ValueError):
             NdRange((2, 2, 2, 2), (1, 1, 1, 1))
-
 
 
 def run_single(kernel, nd):
@@ -160,11 +160,47 @@ class TestQueueOrdering:
         with pytest.raises(QueueError, match="different queue"):
             q1.enqueue_kernel(KernelDef("k", body, bindings={"out": out}),
                               NdRange((2,), (2,)), waits=[ev])
-        # once q1 has a command 0 too, the event's identity, not its
+
+    def test_foreign_event_with_valid_index_rejected(self):
+        # q1 has a command 0 too, so the event's identity, not its
         # position, decides whose it is
+        q1, q2 = CommandQueue(), CommandQueue()
+        out = Buffer("out", 4)
+        ev = q2.enqueue_write(out, np.ones(4))
         q1.enqueue_write(out, np.ones(4))
+        assert ev.command_index == 0
         with pytest.raises(QueueError, match="different queue"):
             q1.enqueue_read(out, waits=[ev])
+
+    def test_each_command_has_its_own_event(self):
+        out = Buffer("out", 4)
+        q = CommandQueue()
+        ev_w = q.enqueue_write(out, np.arange(4))
+        ev_k = q.enqueue_kernel(
+            KernelDef("k", lambda ctx: out.write(ctx.global_id, out.read(ctx.global_id) + 1),
+                      bindings={"out": out}),
+            NdRange((4,), (2,)), waits=[ev_w])
+        ev_r = q.enqueue_read(out, waits=[ev_w, ev_k])
+        events = [ev_w, ev_k, ev_r]
+        assert [ev.command_index for ev in events] == [0, 1, 2]
+        assert len({id(ev) for ev in events}) == 3
+        assert not any(ev.fired for ev in events)
+        records = q.run()
+        assert all(ev.fired for ev in events)
+        assert [r.wait_positions for r in records] == [(), (0,), (0, 1)]
+        assert records[2].data.tolist() == [1, 2, 3, 4]
+
+    def test_removed_host_api_is_gone(self):
+        # one event per command and one host write path
+        assert not hasattr(CommandQueue, "reserve_event")
+        assert not hasattr(CommandQueue, "enqueue_marker")
+        assert not hasattr(ocl, "QueueDeadlockError")
+        assert not hasattr(Buffer, "host_init")
+        assert not hasattr(CommandQueue().enqueue_write(Buffer("b", 4), np.ones(4)), "queue")
+        with pytest.raises(TypeError):
+            NdRange((4,), (2,), offset=(1,))
+        with pytest.raises(TypeError):
+            CommandQueue().enqueue_read(Buffer("b", 4), event=None)
 
     def test_empty_queue_rejected(self):
         with pytest.raises(QueueError, match="empty"):
