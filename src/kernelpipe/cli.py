@@ -90,7 +90,7 @@ def cmd_classify(args) -> int:
 
 
 def _bench_records(platforms, q, args, coeffs) -> dict[str, list[perf.BenchRecord]]:
-    spec = lenet5_spec()
+    footprints = perf.pipeline_footprints(lenet5_spec(), q)  # the same on every board
     modes = [
         ParallelMode(MODE_NONE, cu_count=args.cu),
         ParallelMode(MODE_UNROLL, args.factor, args.cu),
@@ -99,7 +99,7 @@ def _bench_records(platforms, q, args, coeffs) -> dict[str, list[perf.BenchRecor
     records: dict[str, list[perf.BenchRecord]] = {}
     for platform in platforms:
         recs = []
-        for fp in perf.pipeline_footprints(spec, q):
+        for fp in footprints:
             times, logic, dsp, bram = [], [], [], []
             for mode in modes:
                 times.append(perf.estimate_time(fp, platform, mode))

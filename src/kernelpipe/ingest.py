@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 import struct
 from pathlib import Path
 
@@ -55,6 +56,20 @@ def _parse_float(tok: str, path, lineno: int) -> float:
     return value
 
 
+def _read_lines(path, newline=None) -> list[str]:
+    """Every line of an ASCII text file, decoded once; ``newline`` as for
+    :func:`open`.  A non-ASCII byte raises FileFormatError naming its line."""
+    try:
+        with open(path, "r", encoding="ascii", newline=newline) as f:
+            return f.readlines()
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()
+    start = re.search(rb"[\x80-\xff]", data).start()
+    # bytes.splitlines breaks lines where universal newlines do
+    raise FileFormatError(path, len(data[:start + 1].splitlines()),
+                          f"non-ASCII byte 0x{data[start]:02x}; the format is ASCII")
+
+
 # -- text weight files ---------------------------------------------------------
 
 
@@ -67,9 +82,7 @@ def load_weights_text(path) -> WeightStore:
     """
     path = Path(path)
     blocks: dict[str, np.ndarray] = {}
-    with open(path, "r", encoding="ascii") as f:
-        lines = f.readlines()
-
+    lines = _read_lines(path)
     lineno = 0
     n_lines = len(lines)
     while True:
@@ -145,9 +158,8 @@ def load_image_text(path) -> np.ndarray:
     floats (784 for the 28x28 input), already normalized to [0, 1]."""
     path = Path(path)
     values = []
-    with open(path, "r", encoding="ascii") as f:
-        for lineno, line in enumerate(f, start=1):
-            values.extend(_parse_float(tok, path, lineno) for tok in line.split())
+    for lineno, line in enumerate(_read_lines(path), start=1):
+        values.extend(_parse_float(tok, path, lineno) for tok in line.split())
     pixels = INPUT_SHAPE.element_count
     if len(values) != pixels:
         raise FileFormatError(path, 0, f"expected {pixels} pixels, got {len(values)}")
@@ -248,24 +260,23 @@ def read_results_csv(path) -> list[tuple[str, BenchRecord]]:
     """Inverse of :func:`write_results_csv`; rows for one (kernel, platform)
     must cover exactly the three modes, once each, with finite values."""
     groups: dict[tuple[str, str], dict[str, tuple]] = {}
-    with open(path, "r", encoding="ascii", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != BENCH_CSV_HEADER:
-            raise FileFormatError(path, 1, f"expected header {','.join(BENCH_CSV_HEADER)}")
-        for row in reader:
-            line = reader.line_num
-            if len(row) != 7:
-                raise FileFormatError(path, line, f"malformed row {row!r}")
-            kernel, platform, mode = row[0], row[1], row[2]
-            if mode not in MODE_ORDER:
-                raise FileFormatError(path, line, f"unknown mode {mode!r}; "
-                                      f"expected {'/'.join(MODE_ORDER)}")
-            modes = groups.setdefault((platform, kernel), {})
-            if mode in modes:
-                raise FileFormatError(path, line, f"duplicate row for kernel {kernel!r} "
-                                      f"on {platform!r} in mode {mode!r}")
-            modes[mode] = tuple(_parse_float(v, path, line) for v in row[3:])
+    reader = csv.reader(_read_lines(path, newline=""))
+    header = next(reader, None)
+    if header != BENCH_CSV_HEADER:
+        raise FileFormatError(path, 1, f"expected header {','.join(BENCH_CSV_HEADER)}")
+    for row in reader:
+        line = reader.line_num
+        if len(row) != 7:
+            raise FileFormatError(path, line, f"malformed row {row!r}")
+        kernel, platform, mode = row[0], row[1], row[2]
+        if mode not in MODE_ORDER:
+            raise FileFormatError(path, line, f"unknown mode {mode!r}; "
+                                  f"expected {'/'.join(MODE_ORDER)}")
+        modes = groups.setdefault((platform, kernel), {})
+        if mode in modes:
+            raise FileFormatError(path, line, f"duplicate row for kernel {kernel!r} "
+                                  f"on {platform!r} in mode {mode!r}")
+        modes[mode] = tuple(_parse_float(v, path, line) for v in row[3:])
     records = []
     for (platform, kernel), modes in groups.items():
         if set(modes) != set(MODE_ORDER):
@@ -299,21 +310,20 @@ def write_sweep_csv(results: list[SweepResult], path):
 
 def read_sweep_csv(path) -> list[SweepResult]:
     results = []
-    with open(path, "r", encoding="ascii", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != SWEEP_CSV_HEADER:
-            raise FileFormatError(path, 1, f"expected header {','.join(SWEEP_CSV_HEADER)}")
-        for row in reader:
-            line = reader.line_num
-            if len(row) != len(SWEEP_CSV_HEADER):
-                raise FileFormatError(path, line, f"malformed row {row!r}")
-            try:
-                qformat, n = QFormat(int(row[0]), int(row[1])), int(row[5])
-            except ValueError as exc:
-                raise FileFormatError(path, line, str(exc)) from None
-            max_err, mean_err, agreement = (_parse_float(v, path, line) for v in row[2:5])
-            results.append(SweepResult(qformat, max_err, mean_err, agreement, n))
+    reader = csv.reader(_read_lines(path, newline=""))
+    header = next(reader, None)
+    if header != SWEEP_CSV_HEADER:
+        raise FileFormatError(path, 1, f"expected header {','.join(SWEEP_CSV_HEADER)}")
+    for row in reader:
+        line = reader.line_num
+        if len(row) != len(SWEEP_CSV_HEADER):
+            raise FileFormatError(path, line, f"malformed row {row!r}")
+        try:
+            qformat, n = QFormat(int(row[0]), int(row[1])), int(row[5])
+        except ValueError as exc:
+            raise FileFormatError(path, line, str(exc)) from None
+        max_err, mean_err, agreement = (_parse_float(v, path, line) for v in row[2:5])
+        results.append(SweepResult(qformat, max_err, mean_err, agreement, n))
     return results
 
 
@@ -324,16 +334,15 @@ def load_config(path) -> dict[str, str]:
     """Flat ``key = value`` file, one per line, '#' comments; a key may be
     set only once."""
     config, lines = {}, {}
-    with open(path, "r", encoding="ascii") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise FileFormatError(path, lineno, f"expected key=value, got {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key in lines:
-                raise FileFormatError(path, lineno,
-                                      f"key {key!r} already set on line {lines[key]}")
-            config[key], lines[key] = value, lineno
+    for lineno, line in enumerate(_read_lines(path), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise FileFormatError(path, lineno, f"expected key=value, got {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in lines:
+            raise FileFormatError(path, lineno,
+                                  f"key {key!r} already set on line {lines[key]}")
+        config[key], lines[key] = value, lineno
     return config

@@ -4,10 +4,11 @@ The device is a hierarchy of compute units and processing elements only in
 the cost model's eyes; functionally this package executes kernels as host
 Python callables over an NDRange index space, with the four memory regions
 (global / constant / local / private), their visibility rules, and an
-in-order command queue that gives each command one completion event.
-Every local, private and constant access is checked against the running
-work-item, or the host outside a kernel; each command reports the global
-bytes it first touched.
+in-order command queue that gives each command one completion event.  The
+event is the command's record: once the queue has run it holds the global
+bytes the command first touched, its MACs and a read's data.  Every local,
+private and constant access is checked against the running work-item, or
+the host outside a kernel.
 """
 
 from .ndrange import NdRange
@@ -30,7 +31,7 @@ from .kernel import (
     MODE_UNROLL,
     MODE_SIMD,
 )
-from .queue import CommandQueue, CommandRecord, Event, QueueError
+from .queue import CommandQueue, Event, QueueError
 
 __all__ = [
     "NdRange",
@@ -50,7 +51,6 @@ __all__ = [
     "MODE_UNROLL",
     "MODE_SIMD",
     "CommandQueue",
-    "CommandRecord",
     "Event",
     "QueueError",
 ]

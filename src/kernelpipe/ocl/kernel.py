@@ -149,8 +149,8 @@ def group_schedule(nd: NdRange, cu_count: int) -> list[tuple[int, ...]]:
     return order
 
 
-def execute_kernel(kdef: KernelDef, nd: NdRange, macs: list):
-    """Run every work-item of the NDRange; returns nothing, mutates buffers.
+def execute_kernel(kdef: KernelDef, nd: NdRange) -> int:
+    """Run every work-item of the NDRange; returns the MACs they counted.
 
     Each body call and each barrier phase runs with
     ``memory.current_accessor`` set to its work-item, so every local,
@@ -158,6 +158,7 @@ def execute_kernel(kdef: KernelDef, nd: NdRange, macs: list):
     accessor is restored on return and on abort.
     """
     previous = memory.current_accessor
+    macs = [0]
     try:
         for group_id in group_schedule(nd, kdef.mode.cu_count):
             regions = dict(kdef.bindings)
@@ -194,5 +195,6 @@ def execute_kernel(kdef: KernelDef, nd: NdRange, macs: list):
                         f"{len(at_barrier)} of {len(alive)} items reached the barrier"
                     )
                 alive = at_barrier
+        return macs[0]
     finally:
         memory.current_accessor = previous

@@ -33,33 +33,8 @@ class NdRange:
         object.__setattr__(self, "local_size", lsz)
 
     @property
-    def dims(self) -> int:
-        return len(self.global_size)
-
-    @property
     def group_counts(self) -> tuple[int, ...]:
         return tuple(g // l for g, l in zip(self.global_size, self.local_size))
-
-    @property
-    def num_groups(self) -> int:
-        n = 1
-        for c in self.group_counts:
-            n *= c
-        return n
-
-    @property
-    def items_per_group(self) -> int:
-        n = 1
-        for l in self.local_size:
-            n *= l
-        return n
-
-    @property
-    def total_items(self) -> int:
-        n = 1
-        for g in self.global_size:
-            n *= g
-        return n
 
     def group_ids(self):
         """Lexicographic work-group ids (last dim fastest)."""

@@ -1,22 +1,23 @@
-"""In-order command queue with completion events and access statistics.
+"""In-order command queue whose completion events are its command records.
 
 Three command kinds exist: kernel launches, host -> device writes and
 device -> host reads of global memory.  Every enqueue returns the new
-command's completion event and takes an optional wait-list of events of
+command's :class:`Event` and takes an optional wait-list of events of
 earlier commands of the same queue; since the queue is in-order, each of
 them has fired by the time the waiting command starts.
 
-``run`` returns one :class:`CommandRecord` per command: the start order plus
-one byte count each way for global memory -- the bytes the command first
-touched (the cached-global convention the performance model consumes).
-During a kernel every work-item's access to a local, private or constant
-region is checked against that item; a host write is checked as the host
-when it is enqueued.
+An event is its command's record, as a ``cl_event`` is the host's handle on
+its command: ``run`` fires the events in order and returns them, each
+holding the command's MACs, a read's data and one byte count each way for
+global memory -- the bytes the command first touched (the cached-global
+convention the performance model consumes).  During a kernel every
+work-item's access to a local, private or constant region is checked
+against that item; a host write is checked as the host when it is enqueued.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,40 +30,33 @@ class QueueError(RuntimeError):
     pass
 
 
+@dataclass(eq=False, repr=False)
 class Event:
-    """Completion event of one command."""
+    """One queued command and its completion event.  A kernel launch holds
+    its kernel and NDRange, a transfer its buffer and, for a write, the host
+    data; ``run`` fills the counters below and sets ``fired``."""
 
-    def __init__(self, command_index: int):
-        self.command_index = command_index  # position of the command in its queue
-        self.fired = False
-
-    def __repr__(self):
-        return f"Event(command={self.command_index}, fired={self.fired})"
-
-
-@dataclass
-class CommandRecord:
-    index: int
-    kind: str
+    command_index: int  # position of the command in its queue
+    kind: str  # "kernel" | "write" | "read"
     name: str
-    wait_positions: tuple[int, ...]
+    waits: tuple[Event, ...]
+    touched: tuple[Buffer, ...]  # the global buffers the command touches
+    kernel: KernelDef | None = None
+    ndrange: NdRange | None = None
+    buffer: Buffer | None = None
+    host_data: np.ndarray | None = None
+    fired: bool = False
     unique_bytes_read: int = 0
     unique_bytes_written: int = 0
     macs: int = 0
     data: np.ndarray | None = None  # device->host reads only
 
+    @property
+    def wait_positions(self) -> tuple[int, ...]:
+        return tuple(ev.command_index for ev in self.waits)
 
-@dataclass
-class _Command:
-    kind: str  # "kernel" | "write" | "read"
-    name: str
-    waits: tuple[Event, ...]
-    event: Event
-    kernel: KernelDef | None = None
-    ndrange: NdRange | None = None
-    buffer: Buffer | None = None
-    host_data: np.ndarray | None = None
-    touched: tuple[Buffer, ...] = field(default=())
+    def __repr__(self):
+        return f"Event(command={self.command_index}, fired={self.fired})"
 
 
 class CommandQueue:
@@ -74,28 +68,23 @@ class CommandQueue:
     """
 
     def __init__(self):
-        self._commands: list[_Command] = []
+        self._events: list[Event] = []
         self._ran = False
-
-    def _check_waits(self, waits) -> tuple[Event, ...]:
-        """Accept only events of this queue's commands: all of them are
-        earlier than the command being enqueued."""
-        waits = tuple(waits)
-        for ev in waits:
-            if not (isinstance(ev, Event) and ev.command_index < len(self._commands)
-                    and self._commands[ev.command_index].event is ev):
-                raise QueueError(f"wait-list event {ev!r} belongs to a different queue context")
-        return waits
 
     # -- enqueue ---------------------------------------------------------
 
-    def _enqueue(self, kind: str, name: str, waits, touched=(), **fields) -> Event:
-        """Append one command: check its wait-list, create its completion
-        event, and keep the global buffers it touches for byte counting."""
-        waits = self._check_waits(waits)
-        event = Event(len(self._commands))
+    def _enqueue(self, kind: str, name: str, waits, touched, **fields) -> Event:
+        """Append one command's event after checking its wait-list: only
+        events of this queue's commands, all earlier than this one, are
+        accepted.  The global buffers it touches are kept for byte counting."""
+        waits = tuple(waits)
+        for ev in waits:
+            if not (isinstance(ev, Event) and ev.command_index < len(self._events)
+                    and self._events[ev.command_index] is ev):
+                raise QueueError(f"wait-list event {ev!r} belongs to a different queue context")
         touched = tuple(b for b in touched if b.kind == GLOBAL)
-        self._commands.append(_Command(kind, name, waits, event, touched=touched, **fields))
+        event = Event(len(self._events), kind, name, waits, touched, **fields)
+        self._events.append(event)
         return event
 
     def enqueue_kernel(self, kernel: KernelDef, ndrange: NdRange, waits=()) -> Event:
@@ -121,41 +110,34 @@ class CommandQueue:
                              buffer=buffer, host_data=host_data)
 
     def enqueue_read(self, buffer: Buffer, waits=()) -> Event:
-        """Device -> host copy; the copy lands in the command's record."""
+        """Device -> host copy; the copy lands in the event's ``data``."""
         return self._enqueue("read", f"read:{buffer.name}", waits, (buffer,), buffer=buffer)
 
     # -- execution ---------------------------------------------------------
 
-    def run(self) -> list[CommandRecord]:
-        """Execute all commands in order; every wait has fired by then."""
+    def run(self) -> list[Event]:
+        """Execute all commands in order, firing each one's event; every
+        wait has fired by then.  Returns the events in command order."""
         if self._ran:
             raise QueueError("queue has already run")
-        if not self._commands:
+        if not self._events:
             raise QueueError("queue is empty")
         self._ran = True
 
-        records: list[CommandRecord] = []
-        for index, cmd in enumerate(self._commands):
-            record = CommandRecord(
-                index=index, kind=cmd.kind, name=cmd.name,
-                wait_positions=tuple(ev.command_index for ev in cmd.waits),
-            )
-            for buf in cmd.touched:
+        for ev in self._events:
+            for buf in ev.touched:
                 buf.begin_epoch()
 
-            if cmd.kind == "kernel":
-                macs = [0]
-                execute_kernel(cmd.kernel, cmd.ndrange, macs)
-                record.macs = macs[0]
-            elif cmd.kind == "write":
-                cmd.buffer.transfer_in(cmd.host_data)
+            if ev.kind == "kernel":
+                ev.macs = execute_kernel(ev.kernel, ev.ndrange)
+            elif ev.kind == "write":
+                ev.buffer.transfer_in(ev.host_data)
             else:
-                record.data = np.array(cmd.buffer.read(Ellipsis), copy=True)
+                ev.data = np.array(ev.buffer.read(Ellipsis), copy=True)
 
-            for buf in cmd.touched:
+            for buf in ev.touched:
                 ur, uw = buf.epoch_stats()
-                record.unique_bytes_read += ur
-                record.unique_bytes_written += uw
-            cmd.event.fired = True
-            records.append(record)
-        return records
+                ev.unique_bytes_read += ur
+                ev.unique_bytes_written += uw
+            ev.fired = True
+        return list(self._events)

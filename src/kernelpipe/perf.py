@@ -201,10 +201,9 @@ def estimate_time(fp: KernelFootprint, platform: PlatformConfig,
     return max(compute_s, memory_s) * 1e3
 
 
-def saturation_lanes(fp: KernelFootprint, platform: PlatformConfig,
-                     cu_count: int = 1) -> int:
+def saturation_lanes(fp: KernelFootprint, platform: PlatformConfig) -> int:
     """Lane count beyond which the memory term dominates and time is flat."""
-    memory_s = fp.total_bytes / (platform.effective_bandwidth / cu_count)
+    memory_s = fp.total_bytes / platform.effective_bandwidth
     if memory_s == 0 or fp.macs == 0:
         return 1
     return max(1, math.ceil(fp.macs / (platform.compute_clock_hz * memory_s)))
@@ -434,10 +433,8 @@ class PipesFeasibility:
     required_kb: float
 
 
-def pipes_feasible(count: int, fifo_kb_each: float, platform: PlatformConfig,
-                   used_kb: float = 0.0) -> PipesFeasibility:
+def pipes_feasible(count: int, fifo_kb_each: float, platform: PlatformConfig) -> PipesFeasibility:
     if count < 0:
         raise ValueError("pipe count must be >= 0")
     required = count * fifo_kb_each
-    remaining = platform.bram_capacity_kb - used_kb
-    return PipesFeasibility(feasible=required <= remaining, required_kb=required)
+    return PipesFeasibility(feasible=required <= platform.bram_capacity_kb, required_kb=required)

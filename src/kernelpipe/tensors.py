@@ -43,8 +43,6 @@ class Shape:
     dims: tuple[int, ...]
 
     def __init__(self, *dims: int):
-        if len(dims) == 1 and isinstance(dims[0], (tuple, list)):
-            dims = tuple(dims[0])
         if not 1 <= len(dims) <= 4:
             raise ValueError(f"shape must have 1..4 dims, got {len(dims)}")
         for d in dims:

@@ -76,6 +76,13 @@ class TestClassify:
         assert rc == 1
         assert "/nonexistent/w.txt" in capsys.readouterr().err
 
+    def test_non_ascii_weight_file(self, tmp_path, capsys):
+        path = tmp_path / "w.txt"
+        path.write_bytes(b"conv1_w 20 1 5 5\n0.5 caf\xc3\xa9\n")
+        rc = main(["classify", "--weights", str(path)])
+        assert rc == 1
+        assert f"{path}:2: non-ASCII byte 0xc3" in capsys.readouterr().err
+
     def test_mode_flags(self, fixture_files, capsys):
         args = ["classify", "--weights", fixture_files["weights"][0],
                 "--images", fixture_files["images"][0]]

@@ -355,6 +355,15 @@ class TestFileFormatError:
         with pytest.raises(FileFormatError, match=r"img\.txt:1: .*'x'"):
             load_image_text(path)
 
+    @pytest.mark.parametrize("reader", [load_weights_text, load_image_text, load_config,
+                                        read_results_csv, read_sweep_csv])
+    def test_non_ascii_byte_names_file_and_line(self, reader, tmp_path):
+        path = tmp_path / "input.txt"
+        path.write_bytes(b"first\r\nsecond\rcaf\xc3\xa9\n")
+        with pytest.raises(FileFormatError, match=r"input\.txt:3: non-ASCII byte 0xc3") as info:
+            reader(path)
+        assert (info.value.path, info.value.line) == (str(path), 3)
+
 
 class TestConfig:
     def test_parse(self, tmp_path):

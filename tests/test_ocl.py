@@ -20,6 +20,10 @@ from kernelpipe.ocl import (
     check_region_access,
 )
 from kernelpipe import ocl
+from kernelpipe.netdef import lenet5_spec
+from kernelpipe.perf import (ALTERA, kernel_footprint, pipes_feasible, platform_catalog,
+                             saturation_lanes)
+from kernelpipe.tensors import QFormat, Shape
 from kernelpipe.ocl.kernel import group_schedule
 from kernelpipe.ocl import memory
 from kernelpipe.ocl.memory import HOST_SCOPE
@@ -29,7 +33,6 @@ class TestNdRange:
     def test_workgroup_grid(self):
         nd = NdRange((24, 24), (8, 8))
         assert nd.group_counts == (3, 3)
-        assert nd.num_groups == 9
 
     def test_non_divisible_rejected(self):
         with pytest.raises(ValueError):
@@ -37,8 +40,7 @@ class TestNdRange:
 
     def test_identity_decomposition(self):
         nd = NdRange((576,), (576,))
-        assert nd.num_groups == 1
-        assert nd.items_per_group == 576
+        assert nd.group_counts == (1,)
 
     def test_zero_extent_rejected(self):
         with pytest.raises(ValueError):
@@ -113,7 +115,7 @@ class TestQueueOrdering:
         records = q.run()
         assert trace == ["a", "b"]
         assert [r.name for r in records] == ["a", "b"]
-        assert [r.index for r in records] == [0, 1]
+        assert [r.command_index for r in records] == [0, 1]
 
     def test_event_chain_runs_in_order(self):
         out = Buffer("out", 8)
@@ -136,7 +138,7 @@ class TestQueueOrdering:
         assert trace == names
         # event safety: every wait fired strictly before the waiter started
         for rec in records:
-            assert all(pos < rec.index for pos in rec.wait_positions)
+            assert all(pos < rec.command_index for pos in rec.wait_positions)
 
     def test_empty_waitlist_runs_immediately(self):
         out = Buffer("out", 4)
@@ -146,7 +148,7 @@ class TestQueueOrdering:
 
         records = run_single(KernelDef("k", body, bindings={"out": out}),
                              NdRange((4,), (2,)))
-        assert records[0].index == 0
+        assert records[0].command_index == 0
 
     def test_foreign_event_rejected(self):
         q1, q2 = CommandQueue(), CommandQueue()
@@ -190,6 +192,31 @@ class TestQueueOrdering:
         assert [r.wait_positions for r in records] == [(), (0,), (0, 1)]
         assert records[2].data.tolist() == [1, 2, 3, 4]
 
+    def test_run_returns_the_enqueued_events(self):
+        # an event is its command's record: run fills and returns the very
+        # objects the enqueues returned
+        out = Buffer("out", 4)
+
+        def body(ctx):
+            out.write(ctx.global_id, out.read(ctx.global_id) + 1)
+            ctx.count_macs(3)
+
+        q = CommandQueue()
+        ev_w = q.enqueue_write(out, np.arange(4))
+        ev_k = q.enqueue_kernel(KernelDef("k", body, bindings={"out": out}),
+                                NdRange((4,), (2,)), waits=[ev_w])
+        ev_r = q.enqueue_read(out, waits=[ev_k])
+        events = q.run()
+        assert len(events) == 3
+        assert all(got is want for got, want in zip(events, [ev_w, ev_k, ev_r]))
+        assert all(ev.fired for ev in events)
+        assert [(ev.kind, ev.name) for ev in events] == [
+            ("write", "write:out"), ("kernel", "k"), ("read", "read:out")]
+        assert [(ev.unique_bytes_read, ev.unique_bytes_written, ev.macs) for ev in events] == [
+            (0, 32, 0), (32, 32, 12), (32, 0, 0)]
+        assert ev_w.data is None and ev_k.data is None
+        assert ev_r.data.tolist() == [1, 2, 3, 4]
+
     def test_removed_host_api_is_gone(self):
         # one event per command and one host write path
         assert not hasattr(CommandQueue, "reserve_event")
@@ -201,6 +228,20 @@ class TestQueueOrdering:
             NdRange((4,), (2,), offset=(1,))
         with pytest.raises(TypeError):
             CommandQueue().enqueue_read(Buffer("b", 4), event=None)
+        # one object per command, and an NDRange keeps what the scheduler reads
+        assert not hasattr(ocl, "CommandRecord")
+        assert not any(hasattr(ocl.queue, name) for name in ("CommandRecord", "_Command"))
+        for name in ("dims", "num_groups", "items_per_group", "total_items"):
+            assert not hasattr(NdRange((4,), (2,)), name), name
+        # options no caller set
+        fp = kernel_footprint(lenet5_spec(), "conv2", QFormat(16, 8))
+        altera = platform_catalog()[ALTERA]
+        with pytest.raises(TypeError):
+            saturation_lanes(fp, altera, cu_count=2)
+        with pytest.raises(TypeError):
+            pipes_feasible(10, 72, altera, used_kb=1.0)
+        with pytest.raises(ValueError):
+            Shape((2, 2))
 
     def test_empty_queue_rejected(self):
         with pytest.raises(QueueError, match="empty"):
