@@ -10,7 +10,7 @@ Each subcommand accepts only the options it reads.  Exit codes: 0 success
 invariant violation.
 The ``KERNELPIPE_CONFIG`` environment variable may point at a key=value file
 overriding platform parameters and resource coefficients; an unknown key or
-a non-finite value is a user error.
+a value that is not a finite number is a user error.
 """
 
 from __future__ import annotations
@@ -29,11 +29,9 @@ from .tensors import DEFAULT_QFORMAT, QFormat
 
 
 def _load_env_config() -> tuple[dict, dict]:
-    """The platform catalog and resource coefficients with the
-    ``KERNELPIPE_CONFIG`` overrides applied; every key must be one of theirs."""
+    """:func:`perf.apply_config` over the ``KERNELPIPE_CONFIG`` file, if one is set."""
     path = os.environ.get("KERNELPIPE_CONFIG")
-    config = ingest.load_config(path) if path else {}
-    return perf.platform_catalog(config), perf.resource_coeffs(config)
+    return perf.apply_config(ingest.load_config(path) if path else {})
 
 
 def _mode_from_args(args) -> ParallelMode:
@@ -150,8 +148,11 @@ def _parse_grid(text: str) -> list[QFormat]:
         part = part.strip()
         if not part:
             continue
-        total, _, frac = part.partition(":")
-        formats.append(QFormat(int(total), int(frac)))
+        try:
+            total, frac = map(int, part.split(":"))
+        except ValueError:
+            raise ValueError(f"bad --grid entry {part!r}; expected total:frac") from None
+        formats.append(QFormat(total, frac))
     if not formats:
         raise ValueError("empty sweep grid")
     return formats
@@ -289,7 +290,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        # a KeyError's str() is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        sys.stderr.write(f"error: {message}\n")
         return 1
     except Exception as exc:  # internal invariant violation
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")

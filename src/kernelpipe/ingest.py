@@ -1,10 +1,11 @@
 """File ingestion and emission.
 
-Three file families: the text weight/image exchange format (named tensor
-blocks with dimension headers -- self-describing and diffable), standard IDX
-digit-image files, and the result CSVs.  Everything is ASCII with LF line
-endings and '.' decimal points; parse errors always name the file, the line,
-and what was expected there.
+Four file families, one parse path each: the text weight/image exchange
+format (named tensor blocks with dimension headers -- self-describing and
+diffable), standard IDX digit-image files, the result CSVs, and key=value
+config files, whose keys :func:`perf.apply_config` interprets.  Everything
+is ASCII with LF line endings and '.' decimal points; parse errors always
+name the file, the line, and what was expected there.
 """
 
 from __future__ import annotations
@@ -83,56 +84,47 @@ def load_weights_text(path) -> WeightStore:
     path = Path(path)
     blocks: dict[str, np.ndarray] = {}
     lines = _read_lines(path)
-    lineno = 0
-    n_lines = len(lines)
-    while True:
-        # find the next header line
-        while lineno < n_lines and not lines[lineno].strip():
-            lineno += 1
-        if lineno >= n_lines:
-            break
-        header_line = lineno + 1
-        fields = lines[lineno].split()
-        lineno += 1
-        name, dim_tokens = fields[0], fields[1:]
-        if name not in WEIGHT_SHAPES:
-            raise FileFormatError(path, header_line,
-                                  f"unknown block {name!r}; expected one of "
-                                  f"{sorted(WEIGHT_SHAPES)}")
-        if name in blocks:
-            raise FileFormatError(path, header_line, f"duplicate block {name!r}")
-        try:
-            dims = tuple(int(tok) for tok in dim_tokens)
-        except ValueError:
-            raise FileFormatError(path, header_line,
-                                  f"expected integer dimensions after {name!r}") from None
-        expected = WEIGHT_SHAPES[name]
-        if dims != expected:
-            raise FileFormatError(
-                path, header_line,
-                f"block {name!r} has shape {dims} ({int(np.prod(dims)) if dims else 0} "
-                f"values); expected {expected} ({int(np.prod(expected))} values)")
-
-        count = int(np.prod(expected))
-        values = np.empty(count)
-        filled = 0
-        while filled < count:
-            if lineno >= n_lines:
-                raise FileFormatError(path, n_lines,
-                                      f"block {name!r} truncated: got {filled} of "
-                                      f"{count} values before end of file")
-            for tok in lines[lineno].split():
-                if filled >= count:
-                    raise FileFormatError(path, lineno + 1,
+    name = None  # the block whose values are being read, if any
+    for lineno, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if name is not None:
+            for tok in tokens:
+                if filled == count:
+                    raise FileFormatError(path, lineno,
                                           f"block {name!r} has more than {count} values")
-                values[filled] = _parse_float(tok, path, lineno + 1)
+                values[filled] = _parse_float(tok, path, lineno)
                 filled += 1
-            lineno += 1
-        blocks[name] = values.reshape(expected)
+            if filled == count:
+                blocks[name], name = values.reshape(expected), None
+        elif tokens:
+            name, dim_tokens = tokens[0], tokens[1:]
+            if name not in WEIGHT_SHAPES:
+                raise FileFormatError(path, lineno,
+                                      f"unknown block {name!r}; expected one of "
+                                      f"{sorted(WEIGHT_SHAPES)}")
+            if name in blocks:
+                raise FileFormatError(path, lineno, f"duplicate block {name!r}")
+            try:
+                dims = tuple(int(tok) for tok in dim_tokens)
+            except ValueError:
+                raise FileFormatError(path, lineno,
+                                      f"expected integer dimensions after {name!r}") from None
+            expected = WEIGHT_SHAPES[name]
+            count = math.prod(expected)
+            if dims != expected:
+                raise FileFormatError(
+                    path, lineno,
+                    f"block {name!r} has shape {dims} ({int(np.prod(dims)) if dims else 0} "
+                    f"values); expected {expected} ({count} values)")
+            values, filled = np.empty(count), 0
 
+    if name is not None:
+        raise FileFormatError(path, len(lines),
+                              f"block {name!r} truncated: got {filled} of "
+                              f"{count} values before end of file")
     missing = sorted(set(WEIGHT_SHAPES) - set(blocks))
     if missing:
-        raise FileFormatError(path, n_lines,
+        raise FileFormatError(path, len(lines),
                               f"missing block(s): {', '.join(missing)}")
     return WeightStore(**blocks)
 
@@ -183,11 +175,28 @@ def write_image_text(image: np.ndarray, path):
 # -- IDX digit files --------------------------------------------------------------
 
 
-def _read_be32(f, path, what) -> int:
-    data = f.read(4)
-    if len(data) != 4:
-        raise FileFormatError(path, 0, f"truncated file while reading {what}")
-    return struct.unpack(">i", data)[0]
+def _read_idx(path, magic: int, kind: str, count: int, item_dims: tuple) -> np.ndarray:
+    """The first ``count`` items of an IDX file as ``uint8`` of shape
+    ``(count, *item_dims)``; ``kind`` names the items in errors."""
+    fields = ("magic", "count", "rows", "cols")[:2 + len(item_dims)]
+    with open(path, "rb") as f:
+        header = f.read(4 * len(fields))
+        got = struct.unpack(f">{len(header) // 4}i", header[:len(header) // 4 * 4])
+        if got and got[0] != magic:
+            raise FileFormatError(path, 0, f"bad {kind} magic {got[0]} (expected {magic})")
+        if len(got) < len(fields):
+            raise FileFormatError(path, 0, f"truncated file while reading {fields[len(got)]}")
+        n, dims = got[1], got[2:]
+        if dims != item_dims:
+            raise FileFormatError(path, 0, f"expected {'x'.join(map(str, item_dims))} "
+                                           f"{kind}s, got {'x'.join(map(str, dims))}")
+        if count > n:
+            raise FileFormatError(path, 0, f"requested {count} {kind}s, file has {n}")
+        size = count * math.prod(item_dims)
+        data = f.read(size)
+    if len(data) != size:
+        raise FileFormatError(path, 0, f"truncated {kind} data")
+    return np.frombuffer(data, dtype=np.uint8).reshape(count, *item_dims)
 
 
 def load_mnist_idx(images_path, labels_path, count: int) -> list[tuple[np.ndarray, int]]:
@@ -197,77 +206,51 @@ def load_mnist_idx(images_path, labels_path, count: int) -> list[tuple[np.ndarra
     Pixels are normalized to [0, 1] by dividing by 255; image dims must be
     the input's height x width (28x28) and labels must be digits.
     """
-    height, width = INPUT_SHAPE.dims[1:]
-    with open(images_path, "rb") as f:
-        magic = _read_be32(f, images_path, "magic")
-        if magic != IDX_IMAGE_MAGIC:
-            raise FileFormatError(images_path, 0,
-                                  f"bad image magic {magic} (expected {IDX_IMAGE_MAGIC})")
-        n = _read_be32(f, images_path, "count")
-        rows = _read_be32(f, images_path, "rows")
-        cols = _read_be32(f, images_path, "cols")
-        if (rows, cols) != (height, width):
-            raise FileFormatError(images_path, 0,
-                                  f"expected {height}x{width} images, got {rows}x{cols}")
-        if count > n:
-            raise FileFormatError(images_path, 0, f"requested {count} images, file has {n}")
-        data = f.read(count * rows * cols)
-        if len(data) != count * rows * cols:
-            raise FileFormatError(images_path, 0, "truncated pixel data")
-        pixels = np.frombuffer(data, dtype=np.uint8).reshape(count, rows, cols)
-
-    with open(labels_path, "rb") as f:
-        magic = _read_be32(f, labels_path, "magic")
-        if magic != IDX_LABEL_MAGIC:
-            raise FileFormatError(labels_path, 0,
-                                  f"bad label magic {magic} (expected {IDX_LABEL_MAGIC})")
-        n_labels = _read_be32(f, labels_path, "count")
-        if count > n_labels:
-            raise FileFormatError(labels_path, 0,
-                                  f"requested {count} labels, file has {n_labels}")
-        data = f.read(count)
-        if len(data) != count:
-            raise FileFormatError(labels_path, 0, "truncated label data")
-        labels = np.frombuffer(data, dtype=np.uint8)
-
-    pairs = []
-    for i in range(count):
-        image = pixels[i].astype(np.float64).reshape(INPUT_SHAPE.dims) / 255.0
-        label = int(labels[i])
-        if not 0 <= label <= 9:
-            raise FileFormatError(labels_path, 0, f"label {label} out of range 0..9")
-        pairs.append((image, label))
-    return pairs
+    pixels = _read_idx(images_path, IDX_IMAGE_MAGIC, "image", count, INPUT_SHAPE.dims[1:])
+    labels = _read_idx(labels_path, IDX_LABEL_MAGIC, "label", count, ())
+    bad = np.flatnonzero(labels > 9)
+    if bad.size:
+        raise FileFormatError(labels_path, 0, f"label {labels[bad[0]]} out of range 0..9")
+    return list(zip(pixels.reshape(count, *INPUT_SHAPE.dims) / 255.0, labels.tolist()))
 
 
 # -- result CSVs -------------------------------------------------------------------
 
 
+def _write_csv(path, header: list[str], rows):
+    """``header`` then ``rows``, in ASCII with LF line endings."""
+    with open(path, "w", encoding="ascii", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _read_csv(path, header: list[str]):
+    """Yield ``(line, row)`` for each row after ``header``; a different header
+    or a row of another width names the file and line."""
+    reader = csv.reader(_read_lines(path, newline=""))
+    if next(reader, None) != header:
+        raise FileFormatError(path, 1, f"expected header {','.join(header)}")
+    for row in reader:
+        if len(row) != len(header):
+            raise FileFormatError(path, reader.line_num, f"malformed row {row!r}")
+        yield reader.line_num, row
+
+
 def write_results_csv(records, path):
     """``records`` is an iterable of (platform_name, BenchRecord); one CSV row
     per (kernel, platform, mode)."""
-    with open(path, "w", encoding="ascii", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(BENCH_CSV_HEADER)
-        for platform, rec in records:
-            for i, mode in enumerate(MODE_ORDER):
-                writer.writerow([rec.kernel, platform, mode,
-                                 repr(rec.times_ms[i]), repr(rec.logic_k[i]),
-                                 repr(rec.dsp[i]), repr(rec.bram_kb[i])])
+    _write_csv(path, BENCH_CSV_HEADER, (
+        [rec.kernel, platform, mode, repr(rec.times_ms[i]), repr(rec.logic_k[i]),
+         repr(rec.dsp[i]), repr(rec.bram_kb[i])]
+        for platform, rec in records for i, mode in enumerate(MODE_ORDER)))
 
 
 def read_results_csv(path) -> list[tuple[str, BenchRecord]]:
     """Inverse of :func:`write_results_csv`; rows for one (kernel, platform)
     must cover exactly the three modes, once each, with finite values."""
     groups: dict[tuple[str, str], dict[str, tuple]] = {}
-    reader = csv.reader(_read_lines(path, newline=""))
-    header = next(reader, None)
-    if header != BENCH_CSV_HEADER:
-        raise FileFormatError(path, 1, f"expected header {','.join(BENCH_CSV_HEADER)}")
-    for row in reader:
-        line = reader.line_num
-        if len(row) != 7:
-            raise FileFormatError(path, line, f"malformed row {row!r}")
+    for line, row in _read_csv(path, BENCH_CSV_HEADER):
         kernel, platform, mode = row[0], row[1], row[2]
         if mode not in MODE_ORDER:
             raise FileFormatError(path, line, f"unknown mode {mode!r}; "
@@ -290,34 +273,21 @@ def read_results_csv(path) -> list[tuple[str, BenchRecord]]:
 
 
 def write_accel_csv(records: list[AccelRecord], path):
-    with open(path, "w", encoding="ascii", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(ACCEL_CSV_HEADER)
-        for rec in records:
-            for i, mode in enumerate(MODE_ORDER):
-                writer.writerow([rec.kernel, mode, repr(rec.ratios[i]), rec.percents[i]])
+    _write_csv(path, ACCEL_CSV_HEADER, (
+        [rec.kernel, mode, repr(rec.ratios[i]), rec.percents[i]]
+        for rec in records for i, mode in enumerate(MODE_ORDER)))
 
 
 def write_sweep_csv(results: list[SweepResult], path):
-    with open(path, "w", encoding="ascii", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(SWEEP_CSV_HEADER)
-        for r in results:
-            writer.writerow([r.qformat.total_bits, r.qformat.frac_bits,
-                             repr(r.max_abs_logit_error), repr(r.mean_abs_logit_error),
-                             repr(r.argmax_agreement), r.n_samples])
+    _write_csv(path, SWEEP_CSV_HEADER, (
+        [r.qformat.total_bits, r.qformat.frac_bits, repr(r.max_abs_logit_error),
+         repr(r.mean_abs_logit_error), repr(r.argmax_agreement), r.n_samples]
+        for r in results))
 
 
 def read_sweep_csv(path) -> list[SweepResult]:
     results = []
-    reader = csv.reader(_read_lines(path, newline=""))
-    header = next(reader, None)
-    if header != SWEEP_CSV_HEADER:
-        raise FileFormatError(path, 1, f"expected header {','.join(SWEEP_CSV_HEADER)}")
-    for row in reader:
-        line = reader.line_num
-        if len(row) != len(SWEEP_CSV_HEADER):
-            raise FileFormatError(path, line, f"malformed row {row!r}")
+    for line, row in _read_csv(path, SWEEP_CSV_HEADER):
         try:
             qformat, n = QFormat(int(row[0]), int(row[1])), int(row[5])
         except ValueError as exc:

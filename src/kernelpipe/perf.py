@@ -11,6 +11,8 @@ beats SIMD here.
 Resource growth is declared config data (per-stage base plus per-lane
 increment), not a fitted model: absolute logic/DSP/BRAM counts are toolchain
 artifacts this model does not claim to predict, only their growth trend.
+:func:`apply_config` overrides board fields and coefficients from one
+key=value dict; it is the only reader of those keys.
 
 The acceleration convention between the two boards is a signed
 slower-over-faster ratio, negative when the second platform is the slower
@@ -69,17 +71,15 @@ class PlatformConfig:
         return self.ddr_transfer_rate_mt * 1e6 * self.ddr_bus_bytes * self.ddr_efficiency
 
 
-def platform_catalog(config: dict | None = None) -> dict[str, PlatformConfig]:
-    """The two boards, optionally overridden by a key=value config dict
-    (keys ``platform.<name>.<field>`` for a numeric field; ``coeff.`` keys
-    are left to :func:`resource_coeffs`, and any other key, ``name``
-    included, is a ``KeyError``).
+def platform_catalog() -> dict[str, PlatformConfig]:
+    """The two boards, as the model defaults them (see :func:`apply_config`
+    for overrides).
 
     DDR rates come from the boards (800 vs 1333 MT/s); the 200 MHz compute
     clock and 0.7 controller efficiency are documented model defaults, not
     board data.
     """
-    catalog = {
+    return {
         ALTERA: PlatformConfig(
             name=ALTERA,
             compute_clock_hz=200e6,
@@ -101,21 +101,6 @@ def platform_catalog(config: dict | None = None) -> dict[str, PlatformConfig]:
             bram_capacity_kb=52920,
         ),
     }
-    if config:
-        for key, value in config.items():
-            parts = key.split(".")
-            if parts[0] == "coeff":
-                continue
-            if len(parts) != 3 or parts[0] != "platform":
-                raise KeyError(f"unknown config key {key!r}")
-            _, name, attr = parts
-            if name not in catalog:
-                raise KeyError(f"unknown platform {name!r} in config")
-            if attr == "name" or attr not in {f.name for f in fields(PlatformConfig)}:
-                raise KeyError(f"{key!r} is not a numeric platform field")
-            current = getattr(catalog[name], attr)
-            catalog[name] = replace(catalog[name], **{attr: type(current)(value)})
-    return catalog
 
 
 def resolve_platform(name: str, catalog: dict[str, PlatformConfig] | None = None) -> PlatformConfig:
@@ -235,28 +220,45 @@ class ResourceEstimate:
     over_capacity: bool = False
 
 
-def resource_coeffs(config: dict | None = None) -> dict:
-    """Default coefficients, optionally overridden by config keys
-    ``coeff.<stage>.<metric>.base`` / ``.per_lane`` with finite values
-    (``platform.`` keys are left to :func:`platform_catalog`, and any other
-    key is a ``KeyError``)."""
-    coeffs = {stage: dict(metrics) for stage, metrics in DEFAULT_RESOURCE_COEFFS.items()}
-    if config:
-        for key, value in config.items():
-            parts = key.split(".")
-            if parts[0] == "platform":
-                continue
-            if (len(parts) != 4 or parts[0] != "coeff" or parts[1] not in coeffs
-                    or parts[2] not in coeffs[parts[1]]
-                    or parts[3] not in ("base", "per_lane")):
-                raise KeyError(f"unknown config key {key!r}")
+def resource_coeffs() -> dict:
+    """A mutable copy of the default coefficients."""
+    return {stage: dict(metrics) for stage, metrics in DEFAULT_RESOURCE_COEFFS.items()}
+
+
+def apply_config(config: dict[str, str]) -> tuple[dict[str, PlatformConfig], dict]:
+    """The platform catalog and resource coefficients with a key=value config
+    applied: ``platform.<board>.<field>`` sets a numeric board field and
+    ``coeff.<stage>.<metric>.<base|per_lane>`` a coefficient.  Any other key
+    is a ``KeyError``; a value that does not convert or is not finite is a
+    ``ValueError``."""
+    catalog, coeffs = platform_catalog(), resource_coeffs()
+    for key, value in config.items():
+        parts = key.split(".")
+        if len(parts) == 3 and parts[0] == "platform":
+            _, board, attr = parts
+            if board not in catalog:
+                raise KeyError(f"unknown platform {board!r} in config")
+            if attr == "name" or attr not in {f.name for f in fields(PlatformConfig)}:
+                raise KeyError(f"{key!r} is not a numeric platform field")
+            kind = type(getattr(catalog[board], attr))
+        elif (len(parts) == 4 and parts[0] == "coeff" and parts[1] in coeffs
+              and parts[2] in coeffs[parts[1]] and parts[3] in ("base", "per_lane")):
+            kind = float
+        else:
+            raise KeyError(f"unknown config key {key!r}")
+        try:
+            number = kind(value)
+        except ValueError:
+            raise ValueError(f"config key {key!r}: expected {kind.__name__}, got {value!r}") from None
+        if parts[0] == "platform":
+            catalog[board] = replace(catalog[board], **{attr: number})
+        elif not math.isfinite(number):
+            raise ValueError(f"coefficient {key!r} must be finite, got {value!r}")
+        else:
             _, stage, metric, which = parts
-            number = float(value)
-            if not math.isfinite(number):
-                raise ValueError(f"coefficient {key!r} must be finite, got {value!r}")
             base, inc = coeffs[stage][metric]
             coeffs[stage][metric] = (number, inc) if which == "base" else (base, number)
-    return coeffs
+    return catalog, coeffs
 
 
 def estimate_resources(stage: str, mode: ParallelMode, coeffs: dict | None = None,

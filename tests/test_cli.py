@@ -179,7 +179,8 @@ class TestBench:
     def test_unknown_platform(self, capsys):
         rc = main(["bench", "--platform", "cyclone"])
         assert rc == 1
-        assert "cyclone" in capsys.readouterr().err
+        # the message itself, not the repr a KeyError's str() gives
+        assert capsys.readouterr().err.startswith("error: unknown platform 'cyclone'")
 
     def test_replay_non_finite_cell_is_user_error(self, tmp_path, capsys):
         path = tmp_path / "bench.csv"
@@ -201,9 +202,15 @@ class TestSweep:
         assert results[0].n_samples == 2
         assert (results[0].qformat.total_bits, results[0].qformat.frac_bits) == (16, 8)
 
-    def test_empty_grid_is_user_error(self, capsys):
-        rc = main(["sweep", "--count", "1", "--grid", ""])
+    @pytest.mark.parametrize("grid, message", [
+        ("", "empty sweep grid"),
+        ("8", "bad --grid entry '8'; expected total:frac"),
+        ("8:x", "bad --grid entry '8:x'; expected total:frac"),
+    ])
+    def test_empty_grid_is_user_error(self, grid, message, capsys):
+        rc = main(["sweep", "--count", "1", "--grid", grid])
         assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
     def test_default_grid_is_the_sweep_default(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -321,6 +328,9 @@ class TestConfigOverride:
         (f"platform.{ALTERA}.compute_clock_hz = inf", "finite"),
         ("coeff.conv2.logic_k.per_lane = nan", "finite"),
         ("coeff.conv2.logic_k.per_lane = inf", "finite"),
+        # values that do not convert name their key
+        (f"platform.{XILINX}.dsp_capacity = 3.5", f"platform.{XILINX}.dsp_capacity"),
+        ("coeff.conv2.dsp.base = abc", "coeff.conv2.dsp.base"),
     ])
     def test_bad_config_line_is_user_error(self, line, message, command, tmp_path, capsys,
                                            monkeypatch):

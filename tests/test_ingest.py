@@ -93,6 +93,20 @@ class TestWeightsText:
         with pytest.raises(FileFormatError, match=rf"w\.txt:3: .*finite.*'{token}'"):
             load_weights_text(path)
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("conv1_w 20 1 5 x\n", 1, "expected integer dimensions after 'conv1_w'"),
+        # the 21st value shares a line with the 20th, so it cannot start a header
+        ("conv1_b 20\n" + " ".join(["0"] * 19) + "\n0 0\n", 3,
+         "block 'conv1_b' has more than 20 values"),
+    ])
+    def test_error_names_file_line_and_message(self, text, line, message, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text(text)
+        with pytest.raises(FileFormatError) as info:
+            load_weights_text(path)
+        assert (info.value.path, info.value.line) == (str(path), line)
+        assert str(info.value) == f"{path}:{line}: {message}"
+
     def test_duplicate_block(self, tmp_path):
         body = "conv1_b 20\n" + " ".join(["0"] * 20) + "\n"
         path = tmp_path / "w.txt"
@@ -135,6 +149,15 @@ class TestImageText:
         path.write_text("".join(lines))
         with pytest.raises(FileFormatError, match=rf"img\.txt:5: .*finite.*'{token}'"):
             load_image_text(path)
+
+
+def idx_images(count):
+    return struct.pack(">iiii", 2051, count, 28, 28) + bytes(count * 28 * 28)
+
+
+def idx_labels(count, labels=None):
+    labels = bytes(count) if labels is None else bytes(labels)
+    return struct.pack(">ii", 2049, count) + labels
 
 
 def write_idx_pair(tmp_path, count=3, rows=28, cols=28, image_magic=2051,
@@ -199,6 +222,25 @@ class TestIdx:
         img_path, lab_path, _, _ = write_idx_pair(tmp_path, rows=27)
         with pytest.raises(FileFormatError, match="28x28"):
             load_mnist_idx(img_path, lab_path, 1)
+
+    @pytest.mark.parametrize("images, labels, count, bad_file, message", [
+        # a header that ends inside the row count
+        (idx_images(3)[:10], idx_labels(3), 1, "images", "truncated file while reading rows"),
+        (idx_images(5), idx_labels(3), 4, "labels", "requested 4 labels, file has 3"),
+        (idx_images(3), idx_labels(3)[:-1], 3, "labels", "truncated label data"),
+        (idx_images(4), idx_labels(4, [3, 12, 15, 2]), 4, "labels",
+         "label 12 out of range 0..9"),
+    ])
+    def test_error_names_file_and_message(self, images, labels, count, bad_file, message,
+                                          tmp_path):
+        paths = {"images": tmp_path / "images.idx", "labels": tmp_path / "labels.idx"}
+        paths["images"].write_bytes(images)
+        paths["labels"].write_bytes(labels)
+        with pytest.raises(FileFormatError) as info:
+            load_mnist_idx(paths["images"], paths["labels"], count)
+        path = paths[bad_file]
+        assert (info.value.path, info.value.line) == (str(path), 0)
+        assert str(info.value) == f"{path}:0: {message}"
 
     def test_errors_name_the_file_as_a_whole(self, tmp_path):
         # line 0: an IDX file is binary, so the error names the file alone
@@ -274,6 +316,16 @@ class TestResultsCsv:
         path.write_text("\n".join(lines + [lines[1]]) + "\n")  # the none row again
         with pytest.raises(ValueError, match=r"bench\.csv:5: duplicate row .*'none'"):
             read_results_csv(path)
+
+    def test_wrong_column_count_names_line(self, tmp_path):
+        path = tmp_path / "bench.csv"
+        write_results_csv(sample_records()[:1], path)
+        path.write_text(path.read_text() + "conv2,altera,none,1,2\n")
+        with pytest.raises(FileFormatError) as info:
+            read_results_csv(path)
+        assert (info.value.path, info.value.line) == (str(path), 5)
+        assert str(info.value) == (f"{path}:5: malformed row "
+                                   "['conv2', 'altera', 'none', '1', '2']")
 
     def test_unknown_mode_rejected(self, tmp_path):
         # the three valid modes are all present, so only the extra row is at fault

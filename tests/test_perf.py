@@ -11,6 +11,7 @@ from kernelpipe.perf import (
     BenchRecord,
     KernelFootprint,
     acceleration_table,
+    apply_config,
     estimate_resources,
     estimate_time,
     kernel_footprint,
@@ -87,18 +88,18 @@ class TestCatalog:
             resolve_platform("arria")
 
     def test_config_overrides(self):
-        cat = platform_catalog({f"platform.{ALTERA}.compute_clock_hz": "3e8"})
+        cat, coeffs = apply_config({f"platform.{ALTERA}.compute_clock_hz": "3e8"})
         assert cat[ALTERA].compute_clock_hz == 3e8
         assert cat[XILINX].compute_clock_hz == 200e6
+        # a platform key leaves the coefficients at their defaults
+        assert coeffs == resource_coeffs()
         with pytest.raises(KeyError):
-            platform_catalog({"platform.unknown_board.dsp_capacity": "1"})
-        # coefficient keys belong to resource_coeffs; anything else is unknown
-        assert platform_catalog({"coeff.pool2.dsp.base": "7"}) == platform_catalog()
+            apply_config({"platform.unknown_board.dsp_capacity": "1"})
         with pytest.raises(KeyError, match="platfom"):
-            platform_catalog({f"platfom.{ALTERA}.dsp_capacity": "1"})
+            apply_config({f"platfom.{ALTERA}.dsp_capacity": "1"})
         for value in ("nan", "inf", "-inf"):
             with pytest.raises(ValueError, match="finite"):
-                platform_catalog({f"platform.{ALTERA}.compute_clock_hz": value})
+                apply_config({f"platform.{ALTERA}.compute_clock_hz": value})
 
 
 class TestFootprints:
@@ -244,17 +245,17 @@ class TestEstimateResources:
         assert est.logic_k == 100
 
     def test_coeff_overrides(self):
-        coeffs = resource_coeffs({"coeff.pool2.dsp.base": "7"})
+        cat, coeffs = apply_config({"coeff.pool2.dsp.base": "7"})
         assert coeffs["pool2"]["dsp"] == (7.0, 1)
+        # a coefficient key leaves the boards at their defaults
+        assert cat == platform_catalog()
         with pytest.raises(KeyError):
-            resource_coeffs({"coeff.pool9.dsp.base": "7"})
-        # platform keys belong to platform_catalog; anything else is unknown
-        assert resource_coeffs({f"platform.{ALTERA}.dsp_capacity": "1"}) == resource_coeffs()
+            apply_config({"coeff.pool9.dsp.base": "7"})
         with pytest.raises(KeyError, match="coef"):
-            resource_coeffs({"coef.pool2.dsp.base": "7"})
+            apply_config({"coef.pool2.dsp.base": "7"})
         for value in ("nan", "inf"):
             with pytest.raises(ValueError, match="finite"):
-                resource_coeffs({"coeff.pool2.dsp.per_lane": value})
+                apply_config({"coeff.pool2.dsp.per_lane": value})
 
 
 class TestSignedAcceleration:
