@@ -197,6 +197,8 @@ def cmd_stream(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
+    if args.count < 0:
+        raise ValueError(f"--count must be at least 0, got {args.count}")
     written = fixtures.write_fixture_files(args.out, args.seed, args.count)
     for kind, paths in written.items():
         for path in paths:

@@ -23,7 +23,8 @@ one, truncated toward zero to two decimals; the percent form is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -69,6 +70,10 @@ class PlatformConfig:
     def effective_bandwidth(self) -> float:
         """Sustained DDR bytes/second."""
         return self.ddr_transfer_rate_mt * 1e6 * self.ddr_bus_bytes * self.ddr_efficiency
+
+
+#: Each board field's declared type, which a config override converts to.
+_PLATFORM_FIELD_TYPES = get_type_hints(PlatformConfig)
 
 
 def platform_catalog() -> dict[str, PlatformConfig]:
@@ -227,10 +232,11 @@ def resource_coeffs() -> dict:
 
 def apply_config(config: dict[str, str]) -> tuple[dict[str, PlatformConfig], dict]:
     """The platform catalog and resource coefficients with a key=value config
-    applied: ``platform.<board>.<field>`` sets a numeric board field and
-    ``coeff.<stage>.<metric>.<base|per_lane>`` a coefficient.  Any other key
-    is a ``KeyError``; a value that does not convert or is not finite is a
-    ``ValueError``."""
+    applied: ``platform.<board>.<field>`` sets a numeric board field, as its
+    declared type, and ``coeff.<stage>.<metric>.<base|per_lane>`` a
+    coefficient.  Any other key is a ``KeyError``; a value that does not
+    convert, is not finite or is rejected by the board is a ``ValueError``
+    naming its key."""
     catalog, coeffs = platform_catalog(), resource_coeffs()
     for key, value in config.items():
         parts = key.split(".")
@@ -238,9 +244,9 @@ def apply_config(config: dict[str, str]) -> tuple[dict[str, PlatformConfig], dic
             _, board, attr = parts
             if board not in catalog:
                 raise KeyError(f"unknown platform {board!r} in config")
-            if attr == "name" or attr not in {f.name for f in fields(PlatformConfig)}:
+            kind = _PLATFORM_FIELD_TYPES.get(attr)
+            if kind not in (int, float):
                 raise KeyError(f"{key!r} is not a numeric platform field")
-            kind = type(getattr(catalog[board], attr))
         elif (len(parts) == 4 and parts[0] == "coeff" and parts[1] in coeffs
               and parts[2] in coeffs[parts[1]] and parts[3] in ("base", "per_lane")):
             kind = float
@@ -251,7 +257,10 @@ def apply_config(config: dict[str, str]) -> tuple[dict[str, PlatformConfig], dic
         except ValueError:
             raise ValueError(f"config key {key!r}: expected {kind.__name__}, got {value!r}") from None
         if parts[0] == "platform":
-            catalog[board] = replace(catalog[board], **{attr: number})
+            try:
+                catalog[board] = replace(catalog[board], **{attr: number})
+            except ValueError as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
         elif not math.isfinite(number):
             raise ValueError(f"coefficient {key!r} must be finite, got {value!r}")
         else:

@@ -2,14 +2,15 @@
 
 :func:`forward_batch` runs a batch of images on one command queue, as the
 paper streams images through weights held in on-board memory: every buffer
-has a leading batch axis, the host transfers the images and writes all
-weights once, and each stage launches once for the whole batch.
-:func:`forward` is a batch of one.  Stage I/O always round-trips through
-global memory: each kernel reads global memory, computes, and writes its
-outputs back, and consecutive stages are chained in-order through
-completion events.  Each stage's counters are its batch command's:
-weights and biases are first-touched once per command, activations and
-MACs once per image (:func:`kernelpipe.perf.kernel_footprint` with
+has a leading batch axis and each stage launches once for the whole batch.
+:func:`forward` is a batch of one.  As in the paper's host program, the
+stages are set up one at a time: each creates its output buffer, then its
+weight and bias buffers and their transfers if it has them, and enqueues
+its kernel to wait on those transfers and on the previous stage's kernel
+(the first stage's on the input transfer).  Stage I/O always round-trips
+through global memory.  Each stage's counters are its kernel event's:
+weights and biases are first-touched once per command, activations and MACs
+once per image (:func:`kernelpipe.perf.kernel_footprint` with
 ``batch``).  The engine runs fixed-point weight stores only; float64
 results come from :func:`kernelpipe.reference.forward_float`.  Its arithmetic
 matches :func:`kernelpipe.reference.forward_quantized` bit for bit: exact
@@ -70,6 +71,10 @@ from .weights import WeightStore
 
 #: Work-items per work-group of a conv stage (shrunk to divide its map count).
 CONV_GROUP_SIZE = 10
+
+#: Most images one engine batch should hold: it caps conv2's local region at
+#: 32 x 32,000 float64 elements (8 MB).
+BATCH_SIZE = 32
 
 
 def stage_ndranges(spec: NetworkSpec) -> dict[str, NdRange]:
@@ -264,17 +269,14 @@ def forward_batch(images, store: WeightStore, mode: ParallelMode | None = None,
     def buf(name, shape, dtype=np.int64):
         return Buffer(name, shape, dtype=dtype, element_bytes=q.element_bytes)
 
-    bufs = {"input": buf("input", (batch, *in_shape))}
-    for name, (_, out_shape) in io.items():
-        bufs[f"out_{name}"] = buf(f"out_{name}", (batch, *out_shape.dims))
-    arrays = store.arrays()
-
-    blocks = layer_weights(spec)
-    kernels = []
-    src = bufs["input"]
+    arrays, blocks, ndranges = store.arrays(), layer_weights(spec), stage_ndranges(spec)
+    queue = CommandQueue()
+    src = buf("input", (batch, *in_shape))
+    done = queue.enqueue_write(src, quantize_array(np.stack(images), q))
+    kernels = []  # each stage's kernel event, in stage order
     for name, start, end in spec.stage_grouping:
-        layers = spec.layers[start:end]
-        bindings = {"src": src, "dst": bufs[f"out_{name}"]}
+        bindings = {"src": src, "dst": buf(f"out_{name}", (batch, *io[name][1].dims))}
+        waits = [done]
         check, dot_dtype = None, np.int64
         if blocks[start]:  # a stage's weighted layer is its first
             block, _ = blocks[start]
@@ -282,40 +284,28 @@ def forward_batch(images, store: WeightStore, mode: ParallelMode | None = None,
             taps, wmax = arrays[wname][0].size, store.abs_max[wname]
             check = _overflow_check(q, taps, wmax, store.abs_max[bname])
             dot_dtype = np.float64 if float_dot_is_exact(taps, wmax, q) else np.int64
-            bufs[wname] = buf(wname, arrays[wname].shape, dot_dtype)
-            bufs[bname] = buf(bname, arrays[bname].shape)
-            bindings.update(wts=bufs[wname], bias=bufs[bname])
-        body, local_specs = _KERNEL_FACTORIES[layers[0].kind](
-            layers, io[name][0], batch, q, check, dot_dtype)
-        kernels.append(KernelDef(name, body, mode=mode, bindings=bindings,
-                                 local_specs=local_specs))
+            bindings.update(wts=buf(wname, arrays[wname].shape, dot_dtype),
+                            bias=buf(bname, arrays[bname].shape))
+            waits += [queue.enqueue_write(bindings["wts"], arrays[wname]),
+                      queue.enqueue_write(bindings["bias"], arrays[bname])]
+        body, local_specs = _KERNEL_FACTORIES[spec.layers[start].kind](
+            spec.layers[start:end], io[name][0], batch, q, check, dot_dtype)
+        kernel = KernelDef(name, body, mode=mode, bindings=bindings, local_specs=local_specs)
+        done = queue.enqueue_kernel(kernel, ndranges[name], waits=waits)
+        kernels.append(done)
         src = bindings["dst"]
-
-    queue = CommandQueue()
-    waits = [queue.enqueue_write(bufs["input"], quantize_array(np.stack(images), q))]
-    waits += [queue.enqueue_write(bufs[wname], arr) for wname, arr in arrays.items()]
-    ndranges = stage_ndranges(spec)
-    for kernel in kernels:
-        waits = [queue.enqueue_kernel(kernel, ndranges[kernel.name], waits=waits)]
-    queue.enqueue_read(src, waits=waits)
-
-    *kernel_records, read_record = queue.run()
-    records = {rec.name: rec for rec in kernel_records}
-    raw_logits = read_record.data
+    read = queue.enqueue_read(src, waits=[done])
+    queue.run()
+    raw_logits = read.data
     return [
         ForwardResult(
             logits=dequantize_array(raw_logits[i], q),
             raw_logits=raw_logits[i],
             winner=winner_digit(raw_logits[i]),
             stages=tuple(
-                StageResult(
-                    name=name,
-                    output=Tensor(io[name][1], bufs[f"out_{name}"].array[i], q),
-                    bytes_read=records[name].unique_bytes_read,
-                    bytes_written=records[name].unique_bytes_written,
-                    macs=records[name].macs,
-                )
-                for name, _, _ in spec.stage_grouping
+                StageResult(ev.name, Tensor(io[ev.name][1], ev.kernel.bindings["dst"].array[i], q),
+                            ev.unique_bytes_read, ev.unique_bytes_written, ev.macs)
+                for ev in kernels
             ),
         )
         for i in range(batch)

@@ -3,9 +3,9 @@ before classification degrades.
 
 Each candidate format quantizes weights and activations (activations pick up
 the format implicitly through stage-boundary narrowing), runs the engine on
-the images in batches of up to :data:`BATCH_SIZE` (one command queue each),
-and measures the absolute logit error and winner agreement against the
-float64 reference.
+the images in batches of up to :data:`kernelpipe.pipeline.BATCH_SIZE` (one
+command queue each), and measures the absolute logit error and winner
+agreement against the float64 reference.
 """
 
 from __future__ import annotations
@@ -18,11 +18,6 @@ from . import pipeline, reference
 from .netdef import MAX_POOL
 from .tensors import QFormat
 from .weights import WeightStore
-
-
-#: Most images one engine batch holds; it caps conv2's local region at
-#: 32 x 32,000 float64 elements (8 MB).
-BATCH_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -60,8 +55,8 @@ def sweep_precision(store: WeightStore, images, formats: list[QFormat],
     results = []
     for q in formats:
         fixed_store = store.quantize(q)
-        engine = [result for start in range(0, len(images), BATCH_SIZE)
-                  for result in pipeline.forward_batch(images[start:start + BATCH_SIZE],
+        engine = [result for start in range(0, len(images), pipeline.BATCH_SIZE)
+                  for result in pipeline.forward_batch(images[start:start + pipeline.BATCH_SIZE],
                                                        fixed_store, pool_op=pool_op)]
         errors = np.array([np.abs(r.logits - f) for r, f in zip(engine, float_logits)])
         agreements = sum(r.winner == reference.winner_digit(f)

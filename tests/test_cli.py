@@ -105,6 +105,14 @@ class TestClassify:
             assert main(argv) == 1, argv
             assert "--count" in capsys.readouterr().err, argv
 
+    def test_negative_fixture_count_is_user_error(self, tmp_path, capsys):
+        out = tmp_path / "fx"
+        assert main(["fixtures", "--out", str(out), "--count", "-1"]) == 1
+        assert "--count" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["fixtures", "--out", str(out), "--count", "0"]) == 0
+        assert [p.name for p in out.iterdir()] == ["weights_seed42.txt"]
+
     def test_deterministic_output(self, fixture_files, tmp_path):
         args = ["classify", "--weights", fixture_files["weights"][0],
                 "--images", *fixture_files["images"], "--oracle"]
@@ -331,6 +339,10 @@ class TestConfigOverride:
         # values that do not convert name their key
         (f"platform.{XILINX}.dsp_capacity = 3.5", f"platform.{XILINX}.dsp_capacity"),
         ("coeff.conv2.dsp.base = abc", "coeff.conv2.dsp.base"),
+        # values the board rejects name their key
+        (f"platform.{XILINX}.ddr_transfer_rate_mt = 0",
+         f"config key 'platform.{XILINX}.ddr_transfer_rate_mt'"),
+        (f"platform.{ALTERA}.ddr_efficiency = 1.5", f"config key 'platform.{ALTERA}.ddr_efficiency'"),
     ])
     def test_bad_config_line_is_user_error(self, line, message, command, tmp_path, capsys,
                                            monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from kernelpipe import fixtures, netdef, pipeline, reference
 from kernelpipe.netdef import AVG_POOL, MAX_POOL, infer_shapes, lenet5_spec
-from kernelpipe.ocl import Buffer, ParallelMode
+from kernelpipe.ocl import Buffer, CommandQueue, ParallelMode
 from kernelpipe.perf import kernel_footprint
 from kernelpipe.sweep import sweep_precision
 from kernelpipe.tensors import (
@@ -329,6 +329,49 @@ class TestForwardBatch:
     def test_misshapen_image_rejected(self, fixed42, images42):
         with pytest.raises(ValueError, match=r"got \(1, 27, 28\)"):
             pipeline.forward_batch([images42[0], np.zeros((1, 27, 28))], fixed42)
+
+
+class TestHostProgram:
+    """What the host program's queue must keep however its transfers are
+    arranged: every kernel waits on the commands that wrote the global
+    buffers it reads (its ``src``, ``wts`` and ``bias``), and reads only
+    buffers an earlier command wrote."""
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_kernels_wait_on_the_writers_of_their_inputs(self, fixed42, images42, batch,
+                                                         monkeypatch):
+        runs = []
+        run = CommandQueue.run
+
+        def capturing_run(self):
+            runs.append(run(self))
+            return runs[-1]
+
+        monkeypatch.setattr(CommandQueue, "run", capturing_run)
+        if batch:
+            pipeline.forward_batch(images42[:3], fixed42)
+        else:
+            pipeline.forward(images42[0], fixed42)
+        (events,) = runs
+        writer = {}  # id of a global buffer -> the latest command that wrote it
+        kernels = weighted = 0
+        for ev in events:
+            if ev.kind == "write":
+                writer[id(ev.buffer)] = ev
+                continue
+            bindings = ev.kernel.bindings if ev.kind == "kernel" else {"src": ev.buffer}
+            for role in ("src", "wts", "bias"):
+                if role in bindings:
+                    assert id(bindings[role]) in writer, (ev.name, role)
+                    assert writer[id(bindings[role])] in ev.waits, (ev.name, role)
+            if ev.kind == "kernel":
+                assert {id(b) for b in ev.touched} - {id(bindings["dst"])} <= writer.keys(), \
+                    ev.name
+                writer[id(bindings["dst"])] = ev
+                kernels += 1
+                weighted += "wts" in bindings
+        assert (kernels, weighted) == (5, 4)
+        assert events[-1].kind == "read"
 
 
 class TestReferenceProperties:

@@ -101,6 +101,17 @@ class TestCatalog:
             with pytest.raises(ValueError, match="finite"):
                 apply_config({f"platform.{ALTERA}.compute_clock_hz": value})
 
+    @pytest.mark.parametrize("board", [ALTERA, XILINX])
+    def test_float_fields_take_float_values(self, board):
+        values = {"compute_clock_hz": 199_999_999.5, "ddr_transfer_rate_mt": 933.5,
+                  "ddr_efficiency": 0.55, "logic_capacity_k": 600.25, "bram_capacity_kb": 52920.5}
+        for attr, value in values.items():
+            cat, _ = apply_config({f"platform.{board}.{attr}": repr(value)})
+            assert getattr(cat[board], attr) == value, attr
+        for attr in ("ddr_bus_bytes", "dsp_capacity", "lane_budget"):
+            with pytest.raises(ValueError, match=f"platform.{board}.{attr}': expected int"):
+                apply_config({f"platform.{board}.{attr}": "3.5"})
+
 
 class TestFootprints:
     def test_conv2_macs(self):

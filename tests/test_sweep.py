@@ -3,7 +3,8 @@ import pytest
 
 from kernelpipe import fixtures, pipeline, reference
 from kernelpipe.ocl import CommandQueue
-from kernelpipe.sweep import BATCH_SIZE, default_sweep_grid, sweep_precision
+from kernelpipe.pipeline import BATCH_SIZE
+from kernelpipe.sweep import default_sweep_grid, sweep_precision
 from kernelpipe.tensors import QFormat
 from kernelpipe.weights import WEIGHT_SHAPES, WeightStore
 
