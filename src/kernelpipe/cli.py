@@ -16,6 +16,7 @@ a value that is not a finite number is a user error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -47,10 +48,10 @@ def _qformat_from_args(args) -> QFormat:
 
 
 def _load_images(args) -> list[np.ndarray]:
-    if args.count < 1:
-        raise ValueError(f"--count must be at least 1, got {args.count}")
     if args.images:
         return [ingest.load_image_text(path) for path in args.images]
+    if args.count < 1:  # only the IDX and synthetic sources read it
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     if args.mnist:
         pairs = ingest.load_mnist_idx(args.mnist[0], args.mnist[1], args.count)
         return [image for image, _ in pairs]
@@ -177,6 +178,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_stream(args) -> int:
+    if args.frames < 1:
+        raise ValueError(f"--frames must be at least 1, got {args.frames}")
+    if not 0 < args.interval < math.inf:
+        raise ValueError(f"--interval must be positive and finite, got {args.interval}")
     catalog, _ = _load_env_config()
     platform = perf.resolve_platform(args.platform, catalog)
     q = _qformat_from_args(args)

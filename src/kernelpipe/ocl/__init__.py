@@ -2,13 +2,14 @@
 
 The device is a hierarchy of compute units and processing elements only in
 the cost model's eyes; functionally this package executes kernels as host
-Python callables over an NDRange index space, with the four memory regions
+Python callables over an NDRange index space, each body run per work-item
+or per work-group with its items in lockstep, with the four memory regions
 (global / constant / local / private), their visibility rules, and an
 in-order command queue that gives each command one completion event.  The
 event is the command's record: once the queue has run it holds the global
 bytes the command first touched, its MACs and a read's data.  Every local,
-private and constant access is checked against the running work-item, or
-the host outside a kernel.
+private and constant access is checked against the running work-item (or
+lockstep work-group), or the host outside a kernel.
 """
 
 from .ndrange import NdRange
@@ -26,6 +27,7 @@ from .kernel import (
     ParallelMode,
     KernelDef,
     WorkItemCtx,
+    WorkGroupCtx,
     BarrierDivergenceError,
     MODE_NONE,
     MODE_UNROLL,
@@ -46,6 +48,7 @@ __all__ = [
     "ParallelMode",
     "KernelDef",
     "WorkItemCtx",
+    "WorkGroupCtx",
     "BarrierDivergenceError",
     "MODE_NONE",
     "MODE_UNROLL",

@@ -1,11 +1,16 @@
 """Kernel definitions and work-item execution.
 
-A kernel body is a host-registered Python callable invoked once per
-work-item with a :class:`WorkItemCtx`.  A plain function runs straight
-through; a generator function may ``yield`` at any point, and every
-``yield`` is a work-group barrier: no work-item of the group proceeds past
-it until all have reached it.  Items of a group advance in lexicographic
-local-id order between barriers, so execution is fully deterministic.
+A kernel body is a host-registered Python callable, run either per item or
+per group in lockstep.  A per-item body is invoked once per work-item with
+a :class:`WorkItemCtx`; a lockstep body once per work-group with a
+:class:`WorkGroupCtx`, whose ids hold one lane per work-item, as a widened
+datapath (``num_simd_work_items``) or a GPU warp runs a group's items in
+one instruction stream.  A plain function runs straight through; a
+generator function may ``yield`` at any point, and every ``yield`` is a
+work-group barrier: no work-item of the group proceeds past it until all
+have reached it.  Items of a per-item body advance in lexicographic
+local-id order between barriers; the lanes of a lockstep body reach every
+barrier together, so it cannot diverge.  Execution is fully deterministic.
 
 Parallelism modes (none / unroll / simd) plus the compute-unit replication
 count never change computed values; they widen the modeled datapath (lanes)
@@ -76,6 +81,10 @@ class KernelDef:
     work-item; like OpenCL ``__local`` and ``__private`` arrays, each region
     has one element type, int64 or float64.  A region name may appear in
     only one of the three.
+
+    With ``lockstep`` the body runs once per work-group for all of its
+    items; such a kernel declares no private region, since no single
+    work-item would own it.
     """
 
     name: str
@@ -84,8 +93,11 @@ class KernelDef:
     local_specs: dict[str, tuple[int, type]] = field(default_factory=dict)
     private_specs: dict[str, tuple[int, type]] = field(default_factory=dict)
     mode: ParallelMode = field(default_factory=ParallelMode)
+    lockstep: bool = False
 
     def __post_init__(self):
+        if self.lockstep and self.private_specs:
+            raise ValueError(f"kernel {self.name!r}: a lockstep body has no private regions")
         for name, buf in self.bindings.items():
             if not isinstance(buf, Buffer):
                 raise TypeError(f"binding {name!r} is not a Buffer")
@@ -129,6 +141,23 @@ class WorkItemCtx:
         self._macs[0] += n
 
 
+class WorkGroupCtx:
+    """Per-work-group view for a lockstep body: ``global_ids`` and
+    ``local_ids`` are ``(lanes, dims)`` int64 arrays, one row per work-item
+    in lexicographic local-id order."""
+
+    __slots__ = ("global_ids", "local_ids", "group_id", "regions", "_macs")
+
+    def __init__(self, global_ids, local_ids, group_id, regions, macs):
+        self.global_ids = global_ids
+        self.local_ids = local_ids
+        self.group_id = group_id
+        self.regions = regions
+        self._macs = macs
+
+    count_macs = WorkItemCtx.count_macs
+
+
 def group_schedule(nd: NdRange, cu_count: int) -> list[tuple[int, ...]]:
     """Work-group execution order under ``cu_count`` compute units.
 
@@ -153,18 +182,30 @@ def execute_kernel(kdef: KernelDef, nd: NdRange) -> int:
     """Run every work-item of the NDRange; returns the MACs they counted.
 
     Each body call and each barrier phase runs with
-    ``memory.current_accessor`` set to its work-item, so every local,
-    private and constant access is checked against it; the previous
-    accessor is restored on return and on abort.
+    ``memory.current_accessor`` set to its work-item, or for a lockstep
+    body to its work-group, so every local, private and constant access is
+    checked against it; the previous accessor is restored on return and on
+    abort.
     """
     previous = memory.current_accessor
     macs = [0]
+    local_ids = np.array(list(nd.local_ids()), dtype=np.int64) if kdef.lockstep else None
     try:
         for group_id in group_schedule(nd, kdef.mode.cu_count):
             regions = dict(kdef.bindings)
             for name, (count, dtype) in kdef.local_specs.items():
                 regions[name] = Buffer(name, count, kind=LOCAL, dtype=dtype,
                                        owner_group=group_id)
+            if kdef.lockstep:
+                # one call for every lane; each yield is a barrier all of
+                # them reach together
+                memory.current_accessor = AccessScope("group", group_id)
+                global_ids = np.multiply(group_id, nd.local_size) + local_ids
+                gen = kdef.body(WorkGroupCtx(global_ids, local_ids, group_id, regions, macs))
+                if inspect.isgenerator(gen):
+                    for _ in gen:
+                        pass
+                continue
             # A plain body runs to completion when called; a generator body
             # returns a generator whose every yield is a barrier: advance all
             # items one phase at a time and require them to agree on every

@@ -7,9 +7,10 @@ readable by all; only the host writes it, and only until a kernel using it
 is enqueued.  Local memory is visible only inside one work-group, private
 memory only inside one work-item.  Every read and write of a non-global
 region is checked against :data:`current_accessor` -- the running
-work-item during a kernel, the host otherwise -- so a reference kept past
-its scope, or a buffer closed over by a kernel body, is checked too; a
-denied access raises :class:`RegionAccessViolation` and aborts the kernel.
+work-item, or work-group of a lockstep body, during a kernel, the host
+otherwise -- so a reference kept past its scope, or a buffer closed over
+by a kernel body, is checked too; a denied access raises
+:class:`RegionAccessViolation` and aborts the kernel.
 
 Kernels read and write regions through ``read``/``write`` with numpy-style
 keys; block reads return views, so by contract kernels mutate buffers only
@@ -30,9 +31,10 @@ PRIVATE = "private"
 
 @dataclass(frozen=True)
 class AccessScope:
-    """Identity of whoever touches a region: the host, or one work-item."""
+    """Identity of whoever touches a region: the host, one work-item, or a
+    whole work-group running a lockstep body (``item_id`` None)."""
 
-    kind: str  # "host" | "item"
+    kind: str  # "host" | "item" | "group"
     group_id: tuple[int, ...] | None = None
     item_id: tuple[int, ...] | None = None  # global id
 
@@ -40,7 +42,8 @@ class AccessScope:
 HOST_SCOPE = AccessScope("host")
 
 #: Who is touching memory now: the host outside a kernel, the running
-#: work-item inside one (set by ``execute_kernel``; not thread-safe).
+#: work-item or lockstep work-group inside one (set by ``execute_kernel``;
+#: not thread-safe).
 current_accessor = HOST_SCOPE
 
 
@@ -56,9 +59,9 @@ def check_region_access(region: "Buffer", scope: AccessScope, op: str = "read"):
     """Return None if the access is permitted, else the violation.
 
     Rules: private regions admit only their owning work-item; local regions
-    only work-items of the owning group; constant regions are readable by
-    anyone but writable only by the host before the first kernel using them
-    is enqueued; global regions are unrestricted.
+    only the owning group, per item or in lockstep; constant regions are
+    readable by anyone but writable only by the host before the first
+    kernel using them is enqueued; global regions are unrestricted.
     """
     if region.kind == GLOBAL:
         return None
@@ -74,7 +77,7 @@ def check_region_access(region: "Buffer", scope: AccessScope, op: str = "read"):
         )
         return RegionAccessViolation(region, scope, op, reason)
     if region.kind == LOCAL:
-        if scope.kind == "item" and scope.group_id == region.owner_group:
+        if scope.kind != "host" and scope.group_id == region.owner_group:
             return None
         return RegionAccessViolation(
             region, scope, op, f"local region belongs to group {region.owner_group}"

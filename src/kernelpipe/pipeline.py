@@ -21,27 +21,28 @@ and its weight block's largest magnitude
 (:func:`~kernelpipe.tensors.float_dot_is_exact`), whether its dot products
 run in float64, which is exact there and reaches BLAS; otherwise they stay
 int64.  A float stage's weight buffer and local region are float64: the
-transfer casts the raws, and local item 0 casts the stage input once.
+transfer casts the raws, and each conv group casts the stage input once.
 
 Geometry and weights come from :mod:`kernelpipe.netdef`: each kernel takes
 its conv kernel edge (stride 1) and its pool window and op (non-overlapping)
 from its stage's layers, and reads the weight block that
 :func:`~kernelpipe.netdef.layer_weights` gives the stage's first layer.
 Launch geometry: one work-item per output map (20 / 50 / 50 / 1 / 1), which
-it computes for every image of the batch.  A conv stage runs in work-groups
-of 10 (2 and 5 groups) that share one local region, as the paper's
-processing units share BlockRAM: local item 0 reads the batch's stage input
-from global memory once, runs the overflow check, and stages the stacked
-shifted slices as a (taps, images x positions) matrix; after a barrier
-every item reduces that matrix with its own filter in one matmul.
-Other stages run in work-groups of one.  The overflow check runs per image
-in batch order, so a batch raises at the first stage where some image
-fails, with the message of the first such image: the message
-:func:`forward` gives for that image alone.  Compute-unit replication reorders
-a stage's groups only when some unit gets two or more of them: conv2's five
-under two to four units, never conv_pool1's two.  Pooling takes one strided
-slice per window offset, and a fully-connected layer is one matrix product
-over the batch.
+it computes for every image of the batch.  Each body runs a work-group in
+lockstep, one lane per item, as the paper's processing units share one
+widened datapath.  A conv stage runs in work-groups of 10 (2 and 5 groups)
+that share one local region, as the paper's processing units share
+BlockRAM: the group reads the batch's stage input from global memory once,
+runs the overflow check and stages the stacked shifted slices as a (taps,
+images x positions) matrix; after a barrier it reduces that matrix with its
+lanes' filters in one product and narrows once.  pool2 is one work-group
+of 50 lanes.  The overflow check runs per image in batch order, so a batch
+raises at the first stage where some image fails, with the message
+:func:`forward` gives for the first such image alone.  Compute-unit
+replication reorders a stage's groups only when some unit gets two or more:
+conv2's five under two to four units; no other stage has more than two groups.
+Pooling takes one strided slice per window offset, and a fully-connected
+layer is one matrix product over the batch.
 """
 
 from __future__ import annotations
@@ -81,12 +82,12 @@ def stage_ndranges(spec: NetworkSpec) -> dict[str, NdRange]:
     """Each stage's launch space: one work-item per output plane (a
     fully-connected output vector is one plane).  A conv stage's items share
     one staged input per work-group of ``gcd(maps, CONV_GROUP_SIZE)``; every
-    other stage runs in work-groups of one."""
+    other stage is one work-group."""
     result = {}
     io = stage_io_shapes(spec)
     for name, start, _ in spec.stage_grouping:
         items = math.prod(io[name][1].dims[:-2])
-        group = math.gcd(items, CONV_GROUP_SIZE) if spec.layers[start].kind == "conv" else 1
+        group = math.gcd(items, CONV_GROUP_SIZE) if spec.layers[start].kind == "conv" else items
         result[name] = NdRange((items,), (group,))
     return result
 
@@ -160,12 +161,12 @@ def _pool_plane(pool: LayerSpec, q: QFormat):
 
 def _make_conv(layers, inp: Shape, batch: int, q: QFormat, check, dot_dtype):
     """Stride-1 valid convolution, fused with pooling when the stage has a
-    pool layer.  Local item 0 reads the whole batch's input once per
-    work-group, casts it to ``dot_dtype`` and stages its shifted slices in
-    the local region ``cols``, one column per image and output position;
-    after the barrier, work-item m reduces them with filter m, adds bias m
-    in int64, narrows its conv maps, pools them if fused, and writes output
-    map m of every image."""
+    pool layer.  Each work-group reads the whole batch's input once, casts
+    it to ``dot_dtype`` and stages its shifted slices in the local region
+    ``cols``, one column per image and output position; after the barrier,
+    lane m reduces them with filter m (all lanes in one product), adds bias
+    m in int64, narrows its conv maps, pools them if fused, and writes
+    output map m of every image."""
     pool = _pool_plane(layers[1], q) if len(layers) > 1 else None
     frac = q.frac_bits
     k = layers[0].kernel
@@ -173,24 +174,22 @@ def _make_conv(layers, inp: Shape, batch: int, q: QFormat, check, dot_dtype):
     taps = inp.dims[0] * k * k
 
     def body(ctx):
-        (m,) = ctx.global_id
+        m = ctx.global_ids[:, 0]  # each lane's output map
         cols = ctx.regions["cols"]
-        if ctx.local_id == (0,):
-            x = ctx.regions["src"].read(Ellipsis)
-            if check:
-                check(x)
-            x = x.astype(dot_dtype, copy=False).swapaxes(0, 1)  # (channels, images, H, W)
-            cols.write(Ellipsis, np.stack(
-                [x[..., dy:dy + oh, dx:dx + ow] for dy in range(k) for dx in range(k)],
-                axis=1).reshape(-1))
+        x = ctx.regions["src"].read(Ellipsis)
+        if check:
+            check(x)
+        x = x.astype(dot_dtype, copy=False).swapaxes(0, 1)  # (channels, images, H, W)
+        cols.write(Ellipsis, np.stack(
+            [x[..., dy:dy + oh, dx:dx + ow] for dy in range(k) for dx in range(k)],
+            axis=1).reshape(-1))
         yield
-        w = ctx.regions["wts"].read(m)
-        b = ctx.regions["bias"].read(m)
-        conv = w.reshape(-1) @ cols.read(Ellipsis).reshape(taps, batch * oh * ow)
-        conv = narrow_array(conv.astype(np.int64, copy=False).reshape(batch, oh, ow)
-                            + (int(b) << frac), q)
-        ctx.regions["dst"].write((slice(None), m), pool(conv) if pool else conv)
-        ctx.count_macs(conv.size * w.size)
+        w = ctx.regions["wts"].read(m).reshape(len(m), taps)
+        conv = (w @ cols.read(Ellipsis).reshape(taps, -1)).astype(np.int64, copy=False)
+        conv = narrow_array(conv + (ctx.regions["bias"].read(m)[:, None] << frac), q)
+        conv = conv.reshape(len(m), batch, oh, ow)
+        ctx.regions["dst"].write((slice(None), m), (pool(conv) if pool else conv).swapaxes(0, 1))
+        ctx.count_macs(conv.size * taps)
 
     return body, {"cols": (taps * batch * oh * ow, dot_dtype)}
 
@@ -200,7 +199,7 @@ def _make_pool(layers, inp: Shape, batch: int, q: QFormat, check, dot_dtype):
     reduce = _pool_plane(pool, q)
 
     def body(ctx):
-        key = (slice(None), *ctx.global_id)
+        key = (slice(None), *ctx.global_ids.T)  # each lane's map
         ctx.regions["dst"].write(key, reduce(ctx.regions["src"].read(key)))
 
     return body, {}
@@ -290,7 +289,8 @@ def forward_batch(images, store: WeightStore, mode: ParallelMode | None = None,
                       queue.enqueue_write(bindings["bias"], arrays[bname])]
         body, local_specs = _KERNEL_FACTORIES[spec.layers[start].kind](
             spec.layers[start:end], io[name][0], batch, q, check, dot_dtype)
-        kernel = KernelDef(name, body, mode=mode, bindings=bindings, local_specs=local_specs)
+        kernel = KernelDef(name, body, mode=mode, bindings=bindings, local_specs=local_specs,
+                           lockstep=True)
         done = queue.enqueue_kernel(kernel, ndranges[name], waits=waits)
         kernels.append(done)
         src = bindings["dst"]

@@ -105,6 +105,17 @@ class TestClassify:
             assert main(argv) == 1, argv
             assert "--count" in capsys.readouterr().err, argv
 
+    def test_count_checked_only_where_read(self, fixture_files, capsys):
+        # text images ignore --count, so a count of 0 beside them is no error
+        weights, image = fixture_files["weights"][0], fixture_files["images"][0]
+        assert main(["classify", "--weights", weights, "--images", image]) == 0
+        expected = capsys.readouterr().out
+        assert main(["classify", "--weights", weights, "--images", image,
+                     "--count", "0"]) == 0
+        assert capsys.readouterr().out == expected
+        assert main(["classify", "--weights", weights, "--count", "0"]) == 1
+        assert capsys.readouterr().err == "error: --count must be at least 1, got 0\n"
+
     def test_negative_fixture_count_is_user_error(self, tmp_path, capsys):
         out = tmp_path / "fx"
         assert main(["fixtures", "--out", str(out), "--count", "-1"]) == 1
@@ -282,6 +293,20 @@ class TestStream:
         rc = main(["stream", "--platform", "altera", "--interval", interval])
         assert rc == 1
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option,value,message", [
+        ("--frames", "-3", "--frames must be at least 1, got -3"),
+        ("--frames", "0", "--frames must be at least 1, got 0"),
+        ("--interval", "-1", "--interval must be positive and finite, got -1.0"),
+        ("--interval", "0", "--interval must be positive and finite, got 0.0"),
+        ("--interval", "nan", "--interval must be positive and finite, got nan"),
+        ("--interval", "inf", "--interval must be positive and finite, got inf"),
+    ])
+    def test_bad_option_is_named(self, option, value, message, capsys):
+        argv = {"--interval": "1", "--frames": "10", option: value}
+        rc = main(["stream", "--platform", "altera", *(x for kv in argv.items() for x in kv)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestConfigOverride:

@@ -69,10 +69,11 @@ class TestLenet5Spec:
 
     def test_stage_ndranges_from_spec(self):
         # one work-item per output map; a fully-connected vector is one map;
-        # conv stages share a staged input per work-group of 10
+        # conv stages share a staged input per work-group of 10, and every
+        # other stage is one work-group
         expected = {"conv_pool1": NdRange((20,), (10,)),
                     "conv2": NdRange((50,), (10,)),
-                    "pool2": NdRange((50,), (1,)),
+                    "pool2": NdRange((50,), (50,)),
                     "ip1_relu": NdRange((1,), (1,)),
                     "ip2": NdRange((1,), (1,))}
         for pool_op in (MAX_POOL, AVG_POOL):

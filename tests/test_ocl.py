@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kernelpipe.ocl import (
     BarrierDivergenceError,
@@ -578,6 +579,171 @@ class TestAccessAccounting:
         records = run_single(kernel, NdRange((4,), (4,)))
         assert records[0].unique_bytes_read == 0          # only local reads happened
         assert records[0].unique_bytes_written == 4 * 2   # the global stores
+
+
+#: Per-lane program steps ``(op, a, b)``, with g and l the lane's global and
+#: local id: "src" adds src[(g + a) % n], "slice" adds the sum of
+#: src[a:a + b], "back" adds dst[g], "own" adds scratch[l], "peer" adds
+#: scratch[(l + a) % local], "put" stores scratch[l], "out" stores dst[g] and
+#: "macs" counts ``a`` MACs.  Every lane writes only its own slots, and
+#: "peer" reads only after the barrier, where no lane writes scratch, so the
+#: program has no data race and any legal item order gives one result.
+BEFORE_BARRIER = ("src", "slice", "back", "own", "put", "out", "macs")
+AFTER_BARRIER = ("src", "slice", "back", "own", "peer", "out", "macs")
+
+
+def program_steps(ops):
+    return st.lists(st.tuples(st.sampled_from(ops), st.integers(0, 70), st.integers(0, 8)),
+                    max_size=6)
+
+
+@st.composite
+def lane_programs(draw):
+    items = draw(st.integers(1, 64))
+    local = draw(st.sampled_from([d for d in range(1, items + 1) if items % d == 0]))
+    barrier = draw(st.booleans())
+    return (items, local, draw(st.integers(1, 4)), draw(program_steps(BEFORE_BARRIER)),
+            draw(program_steps(AFTER_BARRIER)) if barrier else None)
+
+
+def run_lane_program(case, lockstep):
+    """Run a drawn program as a per-item or a lockstep body; returns dst and
+    each command's (first-touch bytes read, written, MACs)."""
+    items, local, cu_count, before, after = case
+
+    def steps(ctx, ops, acc):
+        if lockstep:
+            g, l = ctx.global_ids[:, 0], ctx.local_ids[:, 0]
+        else:
+            (g,), (l,) = ctx.global_id, ctx.local_id
+        src, dst, scratch = (ctx.regions[name] for name in ("src", "dst", "scratch"))
+        for op, a, b in ops:
+            if op == "src":
+                acc = acc + src.read((g + a) % items)
+            elif op == "slice":
+                acc = acc + src.read(slice(a, a + b)).sum()
+            elif op == "back":
+                acc = acc + dst.read(g)
+            elif op == "own":
+                acc = acc + scratch.read(l)
+            elif op == "peer":
+                acc = acc + scratch.read((l + a) % local)
+            elif op == "put":
+                scratch.write(l, acc)
+            elif op == "out":
+                dst.write(g, acc)
+            else:
+                ctx.count_macs(a * np.size(g))
+        return acc
+
+    if after is None:
+        def body(ctx):
+            steps(ctx, before, 0)
+    else:
+        def body(ctx):
+            acc = steps(ctx, before, 0)
+            yield
+            steps(ctx, after, acc)
+
+    src, dst = Buffer("src", items, element_bytes=2), Buffer("dst", items, element_bytes=2)
+    q = CommandQueue()
+    upload = q.enqueue_write(src, np.arange(items) * 3 + 1)
+    kernel = KernelDef("program", body, bindings={"src": src, "dst": dst},
+                       local_specs={"scratch": (local, np.int64)},
+                       mode=ParallelMode(cu_count=cu_count), lockstep=lockstep)
+    q.enqueue_kernel(kernel, NdRange((items,), (local,)), waits=[upload])
+    q.enqueue_read(dst)
+    events = q.run()
+    return events[-1].data, [(ev.unique_bytes_read, ev.unique_bytes_written, ev.macs)
+                             for ev in events]
+
+
+class TestLockstep:
+    @settings(max_examples=60)
+    @given(lane_programs())
+    def test_body_forms_agree(self, case):
+        per_item_dst, per_item_counts = run_lane_program(case, lockstep=False)
+        lockstep_dst, lockstep_counts = run_lane_program(case, lockstep=True)
+        assert lockstep_dst.tolist() == per_item_dst.tolist()
+        assert lockstep_counts == per_item_counts
+
+    def test_body_called_once_per_group(self):
+        nd = NdRange((4, 6), (2, 3))
+        calls = []
+
+        def body(ctx):
+            calls.append((ctx.group_id, ctx.global_ids.tolist(), ctx.local_ids.tolist()))
+
+        run_single(KernelDef("lanes", body, mode=ParallelMode(cu_count=3), lockstep=True), nd)
+        assert [group for group, _, _ in calls] == group_schedule(nd, 3)
+        lanes = [list(local) for local in nd.local_ids()]
+        for group, global_ids, local_ids in calls:
+            assert local_ids == lanes
+            assert global_ids == [list(nd.global_id(group, local)) for local in nd.local_ids()]
+
+    def test_own_group_local_region(self):
+        out = Buffer("out", 8)
+
+        def body(ctx):
+            lid = ctx.local_ids[:, 0]
+            scratch = ctx.regions["scratch"]
+            scratch.write(lid, ctx.global_ids[:, 0] * 10)
+            yield
+            out.write(ctx.global_ids[:, 0], scratch.read((lid + 1) % 4))
+
+        kernel = KernelDef("rotate", body, bindings={"out": out},
+                           local_specs={"scratch": (4, np.int64)}, lockstep=True)
+        run_single(kernel, NdRange((8,), (4,)))
+        assert out.array.tolist() == [10, 20, 30, 0, 50, 60, 70, 40]
+
+    def test_group_scope_rules(self):
+        scope = AccessScope("group", group_id=(1,))
+        assert check_region_access(Buffer("l", 4, kind=LOCAL, owner_group=(1,)),
+                                   scope, "write") is None
+        assert check_region_access(Buffer("c", 4, kind=CONSTANT), scope, "read") is None
+        for region, op in ((Buffer("l", 4, kind=LOCAL, owner_group=(2,)), "read"),
+                           (Buffer("p", 4, kind=PRIVATE, owner_item=(1,)), "read"),
+                           (Buffer("c", 4, kind=CONSTANT), "write")):
+            assert isinstance(check_region_access(region, scope, op), RegionAccessViolation)
+
+    def test_constant_write_is_violation(self):
+        table = Buffer("table", 4, kind=CONSTANT)
+        table.write(Ellipsis, [1, 2, 3, 4])
+
+        def body(ctx):
+            table.write(ctx.global_ids[:, 0], 0)
+
+        kernel = KernelDef("poke", body, bindings={"table": table}, lockstep=True)
+        with pytest.raises(RegionAccessViolation, match="work-items may not write") as exc:
+            run_single(kernel, NdRange((4,), (2,)))
+        assert exc.value.scope == AccessScope("group", (0,))
+        assert table.array.tolist() == [1, 2, 3, 4]
+        assert memory.current_accessor is HOST_SCOPE
+
+    def test_local_region_kept_across_groups_is_violation(self):
+        # group 1 reads group 0's local region through a reference group 0 kept
+        out = Buffer("out", 4)
+        kept = []
+
+        def body(ctx):
+            kept.append(ctx.regions["scratch"])
+            lid = ctx.local_ids[:, 0]
+            if ctx.group_id == (0,):
+                kept[0].write(lid, 7)
+            else:
+                out.write(ctx.global_ids[:, 0], kept[0].read(lid))
+
+        kernel = KernelDef("keep", body, bindings={"out": out},
+                           local_specs={"scratch": (2, np.int64)}, lockstep=True)
+        with pytest.raises(RegionAccessViolation, match="local region 'scratch'") as exc:
+            run_single(kernel, NdRange((4,), (2,)))
+        assert exc.value.scope == AccessScope("group", (1,))
+        assert out.array.tolist() == [0, 0, 0, 0]
+
+    def test_private_regions_rejected(self):
+        with pytest.raises(ValueError, match="lockstep body has no private regions"):
+            KernelDef("k", lambda ctx: None, private_specs={"p": (1, np.int64)},
+                      lockstep=True)
 
 
 class TestModeDeterminism:
