@@ -6,10 +6,11 @@ Python callables over an NDRange index space, each body run per work-item
 or per work-group with its items in lockstep, with the four memory regions
 (global / constant / local / private), their visibility rules, and an
 in-order command queue that gives each command one completion event.  The
-event is the command's record: once the queue has run it holds the global
-bytes the command first touched, its MACs and a read's data.  Every local,
-private and constant access is checked against the running work-item (or
-lockstep work-group), or the host outside a kernel.
+event is the command's record: once the queue has run it holds the bytes
+the command first touched in every global buffer its body touched, bound or
+not, its MACs and a read's data.  Every local, private and constant access
+is checked against the running work-item (or lockstep work-group), or the
+host outside a kernel.
 """
 
 from .ndrange import NdRange

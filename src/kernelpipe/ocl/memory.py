@@ -1,7 +1,8 @@
 """The four memory regions and their visibility rules.
 
 Global memory is visible to every work-item and to the host; each command
-counts the bytes it first touches there (one read and one written count,
+counts the bytes it first touches in every global buffer, bound or not,
+as each access marks :data:`touches` (one read and one written count,
 modeling the mandatory caching of global accesses).  Constant memory is
 readable by all; only the host writes it, and only until a kernel using it
 is enqueued.  Local memory is visible only inside one work-group, private
@@ -45,6 +46,11 @@ HOST_SCOPE = AccessScope("host")
 #: work-item or lockstep work-group inside one (set by ``execute_kernel``;
 #: not thread-safe).
 current_accessor = HOST_SCOPE
+
+#: The running command's first-touch record, None outside a command (set by
+#: ``CommandQueue.run``; not thread-safe): (global buffer, "read" | "write")
+#: -> True once the whole region was touched, else a mask of touched elements.
+touches = None
 
 
 class RegionAccessViolation(RuntimeError):
@@ -95,8 +101,9 @@ class Buffer:
     """A memory region backed by a numpy array.
 
     ``element_bytes`` is the modeled storage width (e.g. 2 for Q16.8 raws
-    held in int64), used for byte accounting.  Global regions count
-    first-touch bytes; every other region checks each access against
+    held in int64), used for byte accounting.  A global region marks each
+    access in the running command's :data:`touches` record, whether or not
+    the command binds it; every other region checks each access against
     :data:`current_accessor`.
     """
 
@@ -111,15 +118,22 @@ class Buffer:
         self.owner_group = owner_group
         self.owner_item = owner_item
         self.frozen = False  # constant regions only
-        self._counted = kind == GLOBAL
-        if self._counted:
-            self._read_mask = np.zeros(shape, dtype=bool)
-            self._write_mask = np.zeros(shape, dtype=bool)
 
-    def _check(self, op: str):
-        violation = check_region_access(self, current_accessor, op)
-        if violation is not None:
-            raise violation
+    def _access(self, op: str, key):
+        """Check a non-global access against :data:`current_accessor`; mark a
+        global one in the running command's :data:`touches`, if any."""
+        if self.kind != GLOBAL:
+            violation = check_region_access(self, current_accessor, op)
+            if violation is not None:
+                raise violation
+        elif touches is not None:
+            seen = touches.get((self, op))
+            if key is Ellipsis or seen is True:
+                touches[self, op] = True
+                return
+            if seen is None:
+                seen = touches[self, op] = np.zeros(self.array.shape, dtype=bool)
+            seen[key] = True
 
     def freeze(self):
         self.frozen = True
@@ -127,36 +141,14 @@ class Buffer:
     def transfer_in(self, values):
         """A queued host -> device copy of the whole region, counted like any
         global write; the queue checked the host's access at enqueue."""
-        if self._counted:
-            self._write_mask[...] = True
+        if self.kind == GLOBAL and touches is not None:
+            touches[self, "write"] = True
         self.array[...] = values
 
-    # -- checked, counted access -------------------------------------------
-
     def read(self, key):
-        if self._counted:
-            self._read_mask[key] = True
-        else:
-            self._check("read")
+        self._access("read", key)
         return self.array[key]
 
     def write(self, key, value):
-        if self._counted:
-            self._write_mask[key] = True
-        else:
-            self._check("write")
+        self._access("write", key)
         self.array[key] = value
-
-    # -- per-command accounting epochs ------------------------------------
-
-    def begin_epoch(self):
-        if self._counted:
-            self._read_mask[...] = False
-            self._write_mask[...] = False
-
-    def epoch_stats(self):
-        """(unique read, unique written) bytes since begin_epoch."""
-        if not self._counted:
-            return (0, 0)
-        return (int(np.count_nonzero(self._read_mask)) * self.element_bytes,
-                int(np.count_nonzero(self._write_mask)) * self.element_bytes)

@@ -10,9 +10,12 @@ An event is its command's record, as a ``cl_event`` is the host's handle on
 its command: ``run`` fires the events in order and returns them, each
 holding the command's MACs, a read's data and one byte count each way for
 global memory -- the bytes the command first touched (the cached-global
-convention the performance model consumes).  During a kernel every
-work-item's access to a local, private or constant region is checked
-against that item; a host write is checked as the host when it is enqueued.
+convention the performance model consumes) in any global buffer, bound or
+not.  ``run`` opens one ``memory.touches`` record per command, which each
+global access marks as it happens, and closes it when the command ends or
+aborts.  During a kernel every work-item's access to a local, private or
+constant region is checked against that item; a host write is checked as
+the host when it is enqueued.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import KernelDef, execute_kernel
-from .memory import Buffer, GLOBAL, CONSTANT, HOST_SCOPE, check_region_access
+from . import memory
+from .memory import Buffer, CONSTANT, HOST_SCOPE, check_region_access
 from .ndrange import NdRange
 
 
@@ -40,7 +44,6 @@ class Event:
     kind: str  # "kernel" | "write" | "read"
     name: str
     waits: tuple[Event, ...]
-    touched: tuple[Buffer, ...]  # the global buffers the command touches
     kernel: KernelDef | None = None
     ndrange: NdRange | None = None
     buffer: Buffer | None = None
@@ -73,23 +76,21 @@ class CommandQueue:
 
     # -- enqueue ---------------------------------------------------------
 
-    def _enqueue(self, kind: str, name: str, waits, touched, **fields) -> Event:
+    def _enqueue(self, kind: str, name: str, waits, **fields) -> Event:
         """Append one command's event after checking its wait-list: only
         events of this queue's commands, all earlier than this one, are
-        accepted.  The global buffers it touches are kept for byte counting."""
+        accepted."""
         waits = tuple(waits)
         for ev in waits:
             if not (isinstance(ev, Event) and ev.command_index < len(self._events)
                     and self._events[ev.command_index] is ev):
                 raise QueueError(f"wait-list event {ev!r} belongs to a different queue context")
-        touched = tuple(b for b in touched if b.kind == GLOBAL)
-        event = Event(len(self._events), kind, name, waits, touched, **fields)
+        event = Event(len(self._events), kind, name, waits, **fields)
         self._events.append(event)
         return event
 
     def enqueue_kernel(self, kernel: KernelDef, ndrange: NdRange, waits=()) -> Event:
-        event = self._enqueue("kernel", kernel.name, waits, kernel.bindings.values(),
-                              kernel=kernel, ndrange=ndrange)
+        event = self._enqueue("kernel", kernel.name, waits, kernel=kernel, ndrange=ndrange)
         for buf in kernel.bindings.values():
             if buf.kind == CONSTANT:
                 buf.freeze()
@@ -106,12 +107,12 @@ class CommandQueue:
         violation = check_region_access(buffer, HOST_SCOPE, "write")
         if violation is not None:
             raise violation
-        return self._enqueue("write", f"write:{buffer.name}", waits, (buffer,),
-                             buffer=buffer, host_data=host_data)
+        return self._enqueue("write", f"write:{buffer.name}", waits, buffer=buffer,
+                             host_data=host_data)
 
     def enqueue_read(self, buffer: Buffer, waits=()) -> Event:
         """Device -> host copy; the copy lands in the event's ``data``."""
-        return self._enqueue("read", f"read:{buffer.name}", waits, (buffer,), buffer=buffer)
+        return self._enqueue("read", f"read:{buffer.name}", waits, buffer=buffer)
 
     # -- execution ---------------------------------------------------------
 
@@ -124,20 +125,22 @@ class CommandQueue:
             raise QueueError("queue is empty")
         self._ran = True
 
-        for ev in self._events:
-            for buf in ev.touched:
-                buf.begin_epoch()
+        try:
+            for ev in self._events:
+                memory.touches = record = {}
+                if ev.kind == "kernel":
+                    ev.macs = execute_kernel(ev.kernel, ev.ndrange)
+                elif ev.kind == "write":
+                    ev.buffer.transfer_in(ev.host_data)
+                else:
+                    ev.data = np.array(ev.buffer.read(Ellipsis), copy=True)
 
-            if ev.kind == "kernel":
-                ev.macs = execute_kernel(ev.kernel, ev.ndrange)
-            elif ev.kind == "write":
-                ev.buffer.transfer_in(ev.host_data)
-            else:
-                ev.data = np.array(ev.buffer.read(Ellipsis), copy=True)
-
-            for buf in ev.touched:
-                ur, uw = buf.epoch_stats()
-                ev.unique_bytes_read += ur
-                ev.unique_bytes_written += uw
-            ev.fired = True
+                nbytes = {"read": 0, "write": 0}
+                for (buf, op), seen in record.items():
+                    count = buf.array.size if seen is True else int(np.count_nonzero(seen))
+                    nbytes[op] += count * buf.element_bytes
+                ev.unique_bytes_read, ev.unique_bytes_written = nbytes["read"], nbytes["write"]
+                ev.fired = True
+        finally:
+            memory.touches = None
         return list(self._events)

@@ -365,8 +365,8 @@ class TestHostProgram:
                     assert id(bindings[role]) in writer, (ev.name, role)
                     assert writer[id(bindings[role])] in ev.waits, (ev.name, role)
             if ev.kind == "kernel":
-                assert {id(b) for b in ev.touched} - {id(bindings["dst"])} <= writer.keys(), \
-                    ev.name
+                inputs = {id(b) for b in bindings.values()} - {id(bindings["dst"])}
+                assert inputs <= writer.keys(), ev.name
                 writer[id(bindings["dst"])] = ev
                 kernels += 1
                 weighted += "wts" in bindings

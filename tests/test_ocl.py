@@ -1,3 +1,4 @@
+import copy
 import gc
 import weakref
 
@@ -539,6 +540,44 @@ class TestRegionAccess:
         assert out.array.tolist() == [0.5] * 4
 
 
+@st.composite
+def touch_keys(draw, shape):
+    """One numpy key into ``shape``: the whole region, a slice, an int, an
+    index array with repeats, a bool mask or (2-D) a column selection."""
+    n = shape[0]
+    kind = draw(st.sampled_from(["whole", "slice", "int", "index", "mask"]
+                                + (["columns"] if len(shape) == 2 else [])))
+    if kind == "whole":
+        return Ellipsis
+    if kind == "slice":
+        return slice(draw(st.integers(-n, n + 1)), draw(st.integers(-n, n + 1)),
+                     draw(st.sampled_from([None, 1, 2, -1])))
+    if kind == "int":
+        return draw(st.integers(-n, n - 1))
+    if kind == "index":
+        return np.array(draw(st.lists(st.integers(-n, n - 1), max_size=6)), dtype=np.int64)
+    if kind == "mask":
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size))).reshape(shape)
+    m = shape[1]
+    return (slice(None),
+            np.array(draw(st.lists(st.integers(-m, m - 1), min_size=1, max_size=4)), dtype=np.int64))
+
+
+@st.composite
+def touch_programs(draw):
+    """A 1-D or 2-D global buffer, its element width, whether the kernel
+    binds it, and 1-8 reads or writes of it, closing with a whole-region
+    access half the time so a whole key often follows a partial one."""
+    shape = draw(st.one_of(st.tuples(st.integers(1, 6)),
+                           st.tuples(st.integers(1, 4), st.integers(1, 4))))
+    ops = st.sampled_from(["read", "write"])
+    accesses = draw(st.lists(st.tuples(ops, touch_keys(shape)), min_size=1, max_size=7))
+    if draw(st.booleans()):
+        accesses.append((draw(ops), Ellipsis))
+    return shape, draw(st.sampled_from([1, 2, 4])), draw(st.booleans()), accesses
+
+
 class TestAccessAccounting:
     def test_unique_bytes_are_first_touch(self):
         src = Buffer("src", 16, element_bytes=2)
@@ -579,6 +618,70 @@ class TestAccessAccounting:
         records = run_single(kernel, NdRange((4,), (4,)))
         assert records[0].unique_bytes_read == 0          # only local reads happened
         assert records[0].unique_bytes_written == 4 * 2   # the global stores
+
+    def test_unbound_global_buffer_counted(self):
+        # a global buffer the body closes over is device memory all the same
+        out = Buffer("out", 4, element_bytes=2)
+        hidden = Buffer("hidden", 8, dtype=np.int16)
+
+        def body(ctx):
+            out.write(ctx.global_ids[:, 0], hidden.read(Ellipsis).sum())
+            hidden.write(slice(0, 3), 1)
+
+        (ev,) = run_single(KernelDef("closure", body, bindings={"out": out}, lockstep=True),
+                           NdRange((4,), (4,)))
+        assert ev.unique_bytes_read == 8 * 2
+        assert ev.unique_bytes_written == 4 * 2 + 3 * 2
+
+    def test_record_closed_after_abort(self):
+        buf = Buffer("buf", 8, element_bytes=2)
+        foreign = Buffer("p", 4, kind=PRIVATE, owner_item=(7,))
+
+        def bad(ctx):
+            buf.read(slice(0, 6))
+            buf.write(Ellipsis, 1)
+            foreign.read(0)
+
+        q = CommandQueue()
+        q.enqueue_kernel(KernelDef("bad", bad, bindings={"buf": buf}), NdRange((4,), (2,)))
+        with pytest.raises(RegionAccessViolation):
+            q.run()
+        assert memory.touches is None
+        buf.write(Ellipsis, 2)  # a host access outside a command is not recorded
+        assert memory.touches is None
+
+        def good(ctx):
+            buf.read(slice(2, 5))
+            buf.write(7, 1)
+
+        (ev,) = run_single(KernelDef("good", good, bindings={"buf": buf}, lockstep=True),
+                           NdRange((1,), (1,)))
+        assert (ev.unique_bytes_read, ev.unique_bytes_written) == (3 * 2, 1 * 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(touch_programs())
+    def test_counts_match_plain_masks(self, case):
+        shape, element_bytes, bound, accesses = case
+        buf = Buffer("buf", shape, element_bytes=element_bytes)
+        oracle = {"read": np.zeros(shape, dtype=bool), "write": np.zeros(shape, dtype=bool)}
+        for op, key in accesses:
+            oracle[op][key] = True
+
+        def body(ctx):
+            for op, key in copy.deepcopy(accesses):
+                if op == "read":
+                    buf.read(key)
+                else:
+                    buf.write(key, 1)
+                for part in key if isinstance(key, tuple) else (key,):
+                    if isinstance(part, np.ndarray):
+                        part[...] = 0  # a later change to a key must not move the count
+
+        kernel = KernelDef("touch", body, bindings={"buf": buf} if bound else {}, lockstep=True)
+        (ev,) = run_single(kernel, NdRange((1,), (1,)))
+        assert ev.unique_bytes_read == np.count_nonzero(oracle["read"]) * element_bytes
+        assert ev.unique_bytes_written == np.count_nonzero(oracle["write"]) * element_bytes
+        assert type(ev.unique_bytes_read) is type(ev.unique_bytes_written) is int
 
 
 #: Per-lane program steps ``(op, a, b)``, with g and l the lane's global and
