@@ -1,7 +1,7 @@
 """Five-kernel digit-classification pipeline on an emulated OpenCL device,
 with fixed-point quantization and an analytic FPGA platform comparison."""
 
-from .tensors import QFormat, Shape, Tensor, DEFAULT_QFORMAT
+from .tensors import QFormat, Tensor, DEFAULT_QFORMAT
 from .netdef import lenet5_spec, infer_shapes, NetworkSpec, STAGE_NAMES
 from .weights import WeightStore, WEIGHT_SHAPES
 from .pipeline import forward, ForwardResult, StageResult

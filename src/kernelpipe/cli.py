@@ -10,7 +10,7 @@ Each subcommand accepts only the options it reads.  Exit codes: 0 success
 invariant violation.
 The ``KERNELPIPE_CONFIG`` environment variable may point at a key=value file
 overriding platform parameters and resource coefficients; an unknown key or
-a value that is not a finite number is a user error.
+a value that is not a finite number is a user error naming its line.
 """
 
 from __future__ import annotations

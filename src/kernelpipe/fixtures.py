@@ -33,7 +33,7 @@ def synthetic_weights(seed: int = 42) -> WeightStore:
 def synthetic_images(seed: int = 42, count: int = 1) -> np.ndarray:
     """``count`` pixel arrays of the network input shape (1, 28, 28), in [0, 1]."""
     rng = np.random.default_rng(seed)
-    return rng.random((count, *lenet5_spec().input_shape.dims))
+    return rng.random((count, *lenet5_spec().input_shape))
 
 
 def write_fixture_files(out_dir, seed: int = 42, count: int = 4) -> dict[str, list[str]]:

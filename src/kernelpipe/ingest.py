@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .netdef import lenet5_spec
-from .perf import MODE_ORDER, AccelRecord, BenchRecord
+from .perf import MODE_ORDER, AccelRecord, BenchRecord, apply_config
 from .sweep import SweepResult
 from .tensors import QFormat
 from .weights import WEIGHT_SHAPES, WeightStore
@@ -152,10 +152,10 @@ def load_image_text(path) -> np.ndarray:
     values = []
     for lineno, line in enumerate(_read_lines(path), start=1):
         values.extend(_parse_float(tok, path, lineno) for tok in line.split())
-    pixels = INPUT_SHAPE.element_count
+    pixels = math.prod(INPUT_SHAPE)
     if len(values) != pixels:
         raise FileFormatError(path, 0, f"expected {pixels} pixels, got {len(values)}")
-    arr = np.array(values).reshape(INPUT_SHAPE.dims)
+    arr = np.array(values).reshape(INPUT_SHAPE)
     if arr.min() < 0.0 or arr.max() > 1.0:
         raise FileFormatError(path, 0, "pixel values must lie in [0, 1]")
     return arr
@@ -164,7 +164,7 @@ def load_image_text(path) -> np.ndarray:
 def write_image_text(image: np.ndarray, path):
     """One image per file, one pixel row per line."""
     flat = np.asarray(image, dtype=np.float64).ravel()
-    pixels, width = INPUT_SHAPE.element_count, INPUT_SHAPE.dims[-1]
+    pixels, width = math.prod(INPUT_SHAPE), INPUT_SHAPE[-1]
     if flat.size != pixels:
         raise ValueError(f"image must have {pixels} pixels, got {flat.size}")
     with open(path, "w", encoding="ascii", newline="\n") as f:
@@ -206,12 +206,12 @@ def load_mnist_idx(images_path, labels_path, count: int) -> list[tuple[np.ndarra
     Pixels are normalized to [0, 1] by dividing by 255; image dims must be
     the input's height x width (28x28) and labels must be digits.
     """
-    pixels = _read_idx(images_path, IDX_IMAGE_MAGIC, "image", count, INPUT_SHAPE.dims[1:])
+    pixels = _read_idx(images_path, IDX_IMAGE_MAGIC, "image", count, INPUT_SHAPE[1:])
     labels = _read_idx(labels_path, IDX_LABEL_MAGIC, "label", count, ())
     bad = np.flatnonzero(labels > 9)
     if bad.size:
         raise FileFormatError(labels_path, 0, f"label {labels[bad[0]]} out of range 0..9")
-    return list(zip(pixels.reshape(count, *INPUT_SHAPE.dims) / 255.0, labels.tolist()))
+    return list(zip(pixels.reshape(count, *INPUT_SHAPE) / 255.0, labels.tolist()))
 
 
 # -- result CSVs -------------------------------------------------------------------
@@ -248,7 +248,8 @@ def write_results_csv(records, path):
 
 def read_results_csv(path) -> list[tuple[str, BenchRecord]]:
     """Inverse of :func:`write_results_csv`; rows for one (kernel, platform)
-    must cover exactly the three modes, once each, with finite values."""
+    must cover exactly the three modes, once each, with finite values and a
+    positive time."""
     groups: dict[tuple[str, str], dict[str, tuple]] = {}
     for line, row in _read_csv(path, BENCH_CSV_HEADER):
         kernel, platform, mode = row[0], row[1], row[2]
@@ -260,6 +261,8 @@ def read_results_csv(path) -> list[tuple[str, BenchRecord]]:
             raise FileFormatError(path, line, f"duplicate row for kernel {kernel!r} "
                                   f"on {platform!r} in mode {mode!r}")
         modes[mode] = tuple(_parse_float(v, path, line) for v in row[3:])
+        if modes[mode][0] <= 0:
+            raise FileFormatError(path, line, f"time_ms must be positive, got {row[3]!r}")
     records = []
     for (platform, kernel), modes in groups.items():
         if set(modes) != set(MODE_ORDER):
@@ -302,7 +305,8 @@ def read_sweep_csv(path) -> list[SweepResult]:
 
 def load_config(path) -> dict[str, str]:
     """Flat ``key = value`` file, one per line, '#' comments; a key may be
-    set only once."""
+    set only once.  Each key is checked with :func:`perf.apply_config`, so
+    a key or value it rejects names its line."""
     config, lines = {}, {}
     for lineno, line in enumerate(_read_lines(path), start=1):
         line = line.split("#", 1)[0].strip()
@@ -315,4 +319,9 @@ def load_config(path) -> dict[str, str]:
             raise FileFormatError(path, lineno,
                                   f"key {key!r} already set on line {lines[key]}")
         config[key], lines[key] = value, lineno
+    for key, value in config.items():
+        try:
+            apply_config({key: value})
+        except (KeyError, ValueError) as exc:  # a KeyError's str() is its message's repr
+            raise FileFormatError(path, lines[key], exc.args[0]) from None
     return config

@@ -9,9 +9,8 @@ that tiles its input in non-overlapping windows) and weight blocks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-
-from .tensors import Shape
 
 STAGE_NAMES = ("conv_pool1", "conv2", "pool2", "ip1_relu", "ip2")
 
@@ -70,16 +69,17 @@ class NetworkSpec:
 
     ``stage_grouping`` maps each stage name to the contiguous span
     [start, end) of layer indices it executes; spans must tile the layer
-    list in order.
+    list in order.  ``input_shape`` is one image's (channels, height, width).
     """
 
-    input_shape: Shape
+    input_shape: tuple[int, ...]
     layers: tuple[LayerSpec, ...]
     stage_grouping: tuple[tuple[str, int, int], ...] = field(default=())
 
     def __post_init__(self):
-        if len(self.input_shape) != 3:
-            raise ValueError("input shape must be (channels, height, width)")
+        dims = self.input_shape
+        if len(dims) != 3 or not all(isinstance(d, int) and d >= 1 for d in dims):
+            raise ValueError(f"input shape must be 3 positive integer extents, got {dims}")
         names = tuple(name for name, _, _ in self.stage_grouping)
         if names != STAGE_NAMES:
             raise ValueError(f"stage grouping must name {STAGE_NAMES} in order, got {names}")
@@ -116,35 +116,35 @@ def lenet5_spec(pool_op: str = MAX_POOL) -> NetworkSpec:
         ("ip1_relu", 4, 6),
         ("ip2", 6, 7),
     )
-    return NetworkSpec(input_shape=Shape(1, 28, 28), layers=layers, stage_grouping=grouping)
+    return NetworkSpec(input_shape=(1, 28, 28), layers=layers, stage_grouping=grouping)
 
 
-def infer_shapes(spec: NetworkSpec) -> list[Shape]:
+def infer_shapes(spec: NetworkSpec) -> list[tuple[int, ...]]:
     """Per-layer output shapes.  Valid stride-1 convolution geometry:
     conv out = (out_maps, H-k+1, W-k+1); pool divides the spatial extents by
     its window, which must tile them; fully_connected flattens its input.
     """
-    shapes: list[Shape] = []
+    shapes = []
     current = spec.input_shape
     for index, layer in enumerate(spec.layers):
         if layer.kind == "conv":
-            c, h, w = current.dims
+            c, h, w = current
             if layer.kernel > h or layer.kernel > w:
                 raise ShapeInferenceError(
                     f"layer {index} (conv {layer.kernel}x{layer.kernel}) "
                     f"exceeds input {h}x{w}"
                 )
-            current = Shape(layer.out_maps, h - layer.kernel + 1, w - layer.kernel + 1)
+            current = (layer.out_maps, h - layer.kernel + 1, w - layer.kernel + 1)
         elif layer.kind == "pool":
-            c, h, w = current.dims
+            c, h, w = current
             if h % layer.window or w % layer.window:
                 raise ShapeInferenceError(
                     f"layer {index} (pool {layer.window}x{layer.window}) "
                     f"does not tile input {h}x{w}"
                 )
-            current = Shape(c, h // layer.window, w // layer.window)
+            current = (c, h // layer.window, w // layer.window)
         elif layer.kind == "fully_connected":
-            current = Shape(layer.out_neurons)
+            current = (layer.out_neurons,)
         else:  # relu preserves shape
             pass
         shapes.append(current)
@@ -165,9 +165,9 @@ def layer_weights(spec: NetworkSpec) -> list[tuple[str, tuple[int, ...]] | None]
     counts = dict.fromkeys(_WEIGHT_PREFIXES, 0)
     for layer, inp in zip(spec.layers, (spec.input_shape, *infer_shapes(spec))):
         if layer.kind == "conv":
-            w = (layer.out_maps, inp.dims[0], layer.kernel, layer.kernel)
+            w = (layer.out_maps, inp[0], layer.kernel, layer.kernel)
         elif layer.kind == "fully_connected":
-            w = (layer.out_neurons, inp.element_count)
+            w = (layer.out_neurons, math.prod(inp))
         else:
             blocks.append(None)
             continue
@@ -186,7 +186,7 @@ def weight_shapes(spec: NetworkSpec) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def stage_io_shapes(spec: NetworkSpec) -> dict[str, tuple[Shape, Shape]]:
+def stage_io_shapes(spec: NetworkSpec) -> dict[str, tuple[tuple[int, ...], tuple[int, ...]]]:
     """(input shape, output shape) for each of the five stages."""
     per_layer = infer_shapes(spec)
     result = {}

@@ -157,15 +157,15 @@ def kernel_footprint(spec: NetworkSpec, stage: str, q: QFormat,
     for index in range(start, end):
         if blocks[index]:
             _, w = blocks[index]
-            macs += outs[index].element_count * math.prod(w[1:])
+            macs += math.prod(outs[index]) * math.prod(w[1:])
             weight_elems += math.prod(w) + w[0]
 
     width = q.element_bytes
     return KernelFootprint(
         stage=stage,
         macs=macs * batch,
-        bytes_read=(in_shape.element_count * batch + weight_elems) * width,
-        bytes_written=out_shape.element_count * batch * width,
+        bytes_read=(math.prod(in_shape) * batch + weight_elems) * width,
+        bytes_written=math.prod(out_shape) * batch * width,
     )
 
 

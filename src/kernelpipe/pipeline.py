@@ -57,7 +57,6 @@ from .ocl import Buffer, CommandQueue, KernelDef, NdRange, ParallelMode
 from .reference import winner_digit
 from .tensors import (
     QFormat,
-    Shape,
     Tensor,
     accumulation_is_static_safe,
     check_accumulation_bound,
@@ -86,7 +85,7 @@ def stage_ndranges(spec: NetworkSpec) -> dict[str, NdRange]:
     result = {}
     io = stage_io_shapes(spec)
     for name, start, _ in spec.stage_grouping:
-        items = math.prod(io[name][1].dims[:-2])
+        items = math.prod(io[name][1][:-2])
         group = math.gcd(items, CONV_GROUP_SIZE) if spec.layers[start].kind == "conv" else items
         result[name] = NdRange((items,), (group,))
     return result
@@ -159,7 +158,7 @@ def _pool_plane(pool: LayerSpec, q: QFormat):
     return reduce
 
 
-def _make_conv(layers, inp: Shape, batch: int, q: QFormat, check, dot_dtype):
+def _make_conv(layers, inp: tuple[int, ...], batch: int, q: QFormat, check, dot_dtype):
     """Stride-1 valid convolution, fused with pooling when the stage has a
     pool layer.  Each work-group reads the whole batch's input once, casts
     it to ``dot_dtype`` and stages its shifted slices in the local region
@@ -170,8 +169,8 @@ def _make_conv(layers, inp: Shape, batch: int, q: QFormat, check, dot_dtype):
     pool = _pool_plane(layers[1], q) if len(layers) > 1 else None
     frac = q.frac_bits
     k = layers[0].kernel
-    oh, ow = (n - k + 1 for n in inp.dims[1:])
-    taps = inp.dims[0] * k * k
+    oh, ow = (n - k + 1 for n in inp[1:])
+    taps = inp[0] * k * k
 
     def body(ctx):
         m = ctx.global_ids[:, 0]  # each lane's output map
@@ -194,7 +193,7 @@ def _make_conv(layers, inp: Shape, batch: int, q: QFormat, check, dot_dtype):
     return body, {"cols": (taps * batch * oh * ow, dot_dtype)}
 
 
-def _make_pool(layers, inp: Shape, batch: int, q: QFormat, check, dot_dtype):
+def _make_pool(layers, inp: tuple[int, ...], batch: int, q: QFormat, check, dot_dtype):
     (pool,) = layers
     reduce = _pool_plane(pool, q)
 
@@ -205,7 +204,7 @@ def _make_pool(layers, inp: Shape, batch: int, q: QFormat, check, dot_dtype):
     return body, {}
 
 
-def _make_fc(layers, inp: Shape, batch: int, q: QFormat, check, dot_dtype):
+def _make_fc(layers, inp: tuple[int, ...], batch: int, q: QFormat, check, dot_dtype):
     """The whole fully-connected layer as one work-item: one matrix product
     over the batch in ``dot_dtype``, the bias added in int64, one narrowing,
     then ReLU when the stage has it."""
@@ -256,7 +255,7 @@ def forward_batch(images, store: WeightStore, mode: ParallelMode | None = None,
     spec = lenet5_spec(pool_op)
     io = stage_io_shapes(spec)
     mode = mode or ParallelMode()
-    in_shape = spec.input_shape.dims
+    in_shape = spec.input_shape
     images = [np.asarray(image, dtype=np.float64) for image in images]
     if not images:
         raise ValueError("at least one image is required")
@@ -274,7 +273,7 @@ def forward_batch(images, store: WeightStore, mode: ParallelMode | None = None,
     done = queue.enqueue_write(src, quantize_array(np.stack(images), q))
     kernels = []  # each stage's kernel event, in stage order
     for name, start, end in spec.stage_grouping:
-        bindings = {"src": src, "dst": buf(f"out_{name}", (batch, *io[name][1].dims))}
+        bindings = {"src": src, "dst": buf(f"out_{name}", (batch, *io[name][1]))}
         waits = [done]
         check, dot_dtype = None, np.int64
         if blocks[start]:  # a stage's weighted layer is its first
@@ -303,7 +302,7 @@ def forward_batch(images, store: WeightStore, mode: ParallelMode | None = None,
             raw_logits=raw_logits[i],
             winner=winner_digit(raw_logits[i]),
             stages=tuple(
-                StageResult(ev.name, Tensor(io[ev.name][1], ev.kernel.bindings["dst"].array[i], q),
+                StageResult(ev.name, Tensor(ev.kernel.bindings["dst"].array[i], q),
                             ev.unique_bytes_read, ev.unique_bytes_written, ev.macs)
                 for ev in kernels
             ),

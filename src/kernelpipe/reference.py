@@ -43,8 +43,8 @@ def _walk(image: np.ndarray, store: WeightStore, pool_op: str,
     spec = lenet5_spec(pool_op)
     arrays = store.arrays()
     image = np.asarray(image, dtype=np.float64)
-    if image.shape != spec.input_shape.dims:
-        raise ValueError(f"image must have shape {spec.input_shape.dims}, got {image.shape}")
+    if image.shape != spec.input_shape:
+        raise ValueError(f"image must have shape {spec.input_shape}, got {image.shape}")
     x = ops["input"](image)
     outputs = []
     for layer, block in zip(spec.layers, layer_weights(spec)):

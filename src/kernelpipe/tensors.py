@@ -1,4 +1,4 @@
-"""Shape-tagged fixed-point tensors and deterministic fixed-point arithmetic.
+"""Fixed-point tensors and deterministic fixed-point arithmetic.
 
 Values are signed fixed-point Q(total, frac) raws held in int64; float64
 data (images, float weight stores, reference outputs) stays in plain numpy
@@ -22,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MAX_ELEMENT_COUNT = 2**63 - 1
-
 # Guard bits on top of the 2*total_bits product width; 25-tap and 800-tap
 # dot products stay far inside this for every supported format.
 ACCUMULATOR_GUARD_BITS = 16
@@ -34,36 +32,6 @@ FLOAT64_EXACT_LIMIT = 1 << 53
 
 class FixedPointOverflowError(ArithmeticError):
     """Accumulator exceeded its modeled width: the accumulator is mis-sized."""
-
-
-@dataclass(frozen=True)
-class Shape:
-    """Positive integer extents, 1 to 4 dims, channel-outermost."""
-
-    dims: tuple[int, ...]
-
-    def __init__(self, *dims: int):
-        if not 1 <= len(dims) <= 4:
-            raise ValueError(f"shape must have 1..4 dims, got {len(dims)}")
-        for d in dims:
-            if not isinstance(d, (int, np.integer)) or d < 1:
-                raise ValueError(f"shape extents must be positive integers, got {dims}")
-        object.__setattr__(self, "dims", tuple(int(d) for d in dims))
-        if self.element_count > MAX_ELEMENT_COUNT:
-            raise ValueError("shape element count exceeds 64-bit range")
-
-    @property
-    def element_count(self) -> int:
-        n = 1
-        for d in self.dims:
-            n *= d
-        return n
-
-    def __iter__(self):
-        return iter(self.dims)
-
-    def __len__(self):
-        return len(self.dims)
 
 
 @dataclass(frozen=True)
@@ -192,26 +160,24 @@ def check_accumulation_bound(taps: int, activation_max: int, weight_max: int,
 
 @dataclass(frozen=True)
 class Tensor:
-    """Shape-tagged int64 raws of one QFormat.
+    """int64 raws of one QFormat; its shape is the raws' shape.
 
     Immutable after construction; the backing array is set non-writeable so
     instances can be handed across threads.
     """
 
-    shape: Shape
     values: np.ndarray
     qformat: QFormat
 
     def __post_init__(self):
-        values = np.asarray(self.values)
-        if values.size != self.shape.element_count:
-            raise ValueError(
-                f"element count {values.size} does not match shape {self.shape.dims}"
-            )
-        values = values.astype(np.int64).reshape(self.shape.dims)
+        values = np.asarray(self.values).astype(np.int64)
         if values.size and (
             values.min() < self.qformat.raw_min or values.max() > self.qformat.raw_max
         ):
             raise ValueError(f"raw values outside {self.qformat} range")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.values.shape

@@ -166,11 +166,11 @@ def test_criterion_5_mac_and_shape_oracle():
         result = pipeline.forward(image, store)
         for stage in result.stages:
             assert stage.macs == expected_macs[stage.name], stage.name
-            assert stage.output.shape.dims == expected_shapes[stage.name], stage.name
+            assert stage.output.shape == expected_shapes[stage.name], stage.name
         # the engine's counters agree with the shape-inference layer view
         spec = lenet5_spec()
         per_layer = infer_shapes(spec)
-        stage_out = {name: per_layer[end - 1].dims
+        stage_out = {name: per_layer[end - 1]
                      for name, _, end in spec.stage_grouping}
         assert stage_out == expected_shapes
 

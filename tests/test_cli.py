@@ -210,6 +210,16 @@ class TestBench:
         assert captured.out == ""
         assert f"{path}:2:" in captured.err
 
+    def test_replay_non_positive_time_is_user_error(self, tmp_path, capsys):
+        # one board: no acceleration ratio would catch the time later
+        path = tmp_path / "bench.csv"
+        write_results_csv([(XILINX, BenchRecord("conv2", (1.0, -2.5, 1.0),
+                                                (0, 0, 0), (0, 0, 0), (0, 0, 0)))], path)
+        assert main(["bench", "--from-csv", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}:3: time_ms must be positive, got '-2.5'\n"
+
 
 class TestSweep:
     def test_small_grid_writes_csv(self, tmp_path, capsys):
@@ -368,6 +378,9 @@ class TestConfigOverride:
         (f"platform.{XILINX}.ddr_transfer_rate_mt = 0",
          f"config key 'platform.{XILINX}.ddr_transfer_rate_mt'"),
         (f"platform.{ALTERA}.ddr_efficiency = 1.5", f"config key 'platform.{ALTERA}.ddr_efficiency'"),
+        # every rejection names the file and the key's line
+        (f"# boards\nplatform.{XILINX}.dsp_capacity = 3.5",
+         f"model.cfg:2: config key 'platform.{XILINX}.dsp_capacity': expected int, got '3.5'\n"),
     ])
     def test_bad_config_line_is_user_error(self, line, message, command, tmp_path, capsys,
                                            monkeypatch):

@@ -121,7 +121,7 @@ class TestImageText:
         write_image_text(images42[0], path)
         loaded = load_image_text(path)
         assert isinstance(loaded, np.ndarray)
-        assert loaded.dtype == np.float64 and loaded.shape == INPUT_SHAPE.dims
+        assert loaded.dtype == np.float64 and loaded.shape == INPUT_SHAPE
         assert np.array_equal(loaded, images42[0])
 
     def test_wrong_pixel_count(self, tmp_path):
@@ -191,7 +191,7 @@ class TestIdx:
         for i, (image, label) in enumerate(pairs):
             assert label == labels[i]
             assert isinstance(image, np.ndarray)
-            assert image.dtype == np.float64 and image.shape == INPUT_SHAPE.dims
+            assert image.dtype == np.float64 and image.shape == INPUT_SHAPE
             assert np.array_equal(image[0], pixels[i] / 255.0)
 
     def test_count_zero_gives_empty(self, tmp_path):
@@ -308,6 +308,17 @@ class TestResultsCsv:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=rf"bench\.csv:3: .*{token}"):
             read_results_csv(path)
+
+    @pytest.mark.parametrize("token", ["0", "-1.96", "-0.0"])
+    def test_non_positive_time_rejected(self, token, tmp_path):
+        path = tmp_path / "bench.csv"
+        write_results_csv(sample_records()[:1], path)
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].replace("1.96", token)  # the unroll row's time
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError) as info:
+            read_results_csv(path)
+        assert str(info.value) == f"{path}:3: time_ms must be positive, got {token!r}"
 
     def test_duplicate_row_rejected(self, tmp_path):
         path = tmp_path / "bench.csv"
@@ -449,6 +460,24 @@ class TestConfig:
                            match=r"model\.cfg:4: key 'a\.b' already set on line 1") as exc:
             load_config(path)
         assert exc.value.line == 4
+
+    @pytest.mark.parametrize("line, message", [
+        ("platform.virtex7_690t_7v3.dsp_capacity = 3.5",
+         "config key 'platform.virtex7_690t_7v3.dsp_capacity': expected int, got '3.5'"),
+        ("platform.arria10.dsp_capacity = 3", "unknown platform 'arria10' in config"),
+        ("coeff.conv2.dsp.extra = 3", "unknown config key 'coeff.conv2.dsp.extra'"),
+        ("coeff.conv2.dsp.base = inf",
+         "coefficient 'coeff.conv2.dsp.base' must be finite, got 'inf'"),
+        ("platform.stratixV_gxa7_de5.ddr_efficiency = 1.5",
+         "config key 'platform.stratixV_gxa7_de5.ddr_efficiency': "
+         "ddr_efficiency must be in (0, 1]"),
+    ])
+    def test_rejected_key_or_value_names_its_line(self, line, message, tmp_path):
+        path = tmp_path / "model.cfg"
+        path.write_text(f"# overrides\ncoeff.pool2.dsp.base = 5\n{line}\n")
+        with pytest.raises(FileFormatError) as exc:
+            load_config(path)
+        assert (str(exc.value), exc.value.line) == (f"{path}:3: {message}", 3)
 
 
 class TestFixtureFiles:

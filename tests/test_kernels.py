@@ -1,4 +1,5 @@
 import ast
+import json
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -710,3 +711,16 @@ class TestImageShape:
             reference.forward_float(flat, store42)
         with pytest.raises(ValueError, match=message):
             sweep_precision(store42, [flat], [QFormat(16, 8)])
+
+
+class TestGoldenEngine:
+    def test_replays_golden_engine_digests(self):
+        # engine outputs must stay bit-identical: every configuration of the
+        # grid that capture_golden_engine.py records hashes to its digest
+        import capture_golden_engine as golden
+
+        expected = json.loads(golden.GOLDEN_PATH.read_text(encoding="ascii"))
+        found = golden.digests()
+        assert len(expected) == 216
+        assert [key for key in expected if found.get(key) != expected[key]] == []
+        assert found.keys() == expected.keys()

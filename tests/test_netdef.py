@@ -25,7 +25,7 @@ from kernelpipe.ocl import NdRange
 from kernelpipe.ocl.kernel import group_schedule
 from kernelpipe.perf import kernel_footprint
 from kernelpipe.pipeline import stage_ndranges
-from kernelpipe.tensors import QFormat, Shape
+from kernelpipe.tensors import QFormat
 from kernelpipe.weights import WEIGHT_SHAPES
 
 
@@ -48,16 +48,16 @@ class TestLenet5Spec:
 
     def test_last_stage_outputs_10(self):
         spec = lenet5_spec()
-        assert infer_shapes(spec)[-1].dims == (10,)
+        assert infer_shapes(spec)[-1] == (10,)
 
     def test_classifier_fan_in(self):
         # the flattened classifier input is 800 wide; the 500-neuron layer
         # feeds the final 10-way layer
         spec = lenet5_spec()
         io = stage_io_shapes(spec)
-        assert io["ip1_relu"][0].element_count == 800
-        assert io["ip1_relu"][1].dims == (500,)
-        assert io["ip2"][0].dims == (500,)
+        assert math.prod(io["ip1_relu"][0]) == 800
+        assert io["ip1_relu"][1] == (500,)
+        assert io["ip2"][0] == (500,)
 
     def test_weight_shapes_from_spec(self):
         # key order is the order weight files are written in
@@ -109,7 +109,7 @@ class TestLenet5Spec:
         expected = {"conv_pool1": 288_000, "conv2": 1_600_000, "pool2": 0,
                     "ip1_relu": 400_000, "ip2": 5_000}
         for name, start, end in spec.stage_grouping:
-            macs = sum(outs[i].element_count * math.prod(blocks[i][1][1:])
+            macs = sum(math.prod(outs[i]) * math.prod(blocks[i][1][1:])
                        for i in range(start, end) if blocks[i])
             assert macs == expected[name]
             assert kernel_footprint(spec, name, QFormat(16, 8)).macs == expected[name]
@@ -121,23 +121,23 @@ class TestLenet5Spec:
 
 class TestInferShapes:
     def test_canonical_shapes(self):
-        shapes = [s.dims for s in infer_shapes(lenet5_spec())]
+        shapes = infer_shapes(lenet5_spec())
         assert shapes == [(20, 24, 24), (20, 12, 12), (50, 8, 8), (50, 4, 4),
                           (500,), (500,), (10,)]
 
     def test_kernel_equals_input(self):
         spec = NetworkSpec(
-            input_shape=Shape(1, 5, 5),
+            input_shape=(1, 5, 5),
             layers=(conv(20, 5), pool(1), conv(20, 1), pool(1),
                     fully_connected(5), relu(), fully_connected(2)),
             stage_grouping=(("conv_pool1", 0, 2), ("conv2", 2, 3), ("pool2", 3, 4),
                             ("ip1_relu", 4, 6), ("ip2", 6, 7)),
         )
-        assert infer_shapes(spec)[0].dims == (20, 1, 1)
+        assert infer_shapes(spec)[0] == (20, 1, 1)
 
     def test_window_exceeding_input_names_layer(self):
         spec = NetworkSpec(
-            input_shape=Shape(1, 4, 4),
+            input_shape=(1, 4, 4),
             layers=(conv(20, 5), pool(1), conv(20, 1), pool(1),
                     fully_connected(5), relu(), fully_connected(2)),
             stage_grouping=(("conv_pool1", 0, 2), ("conv2", 2, 3), ("pool2", 3, 4),
@@ -150,7 +150,7 @@ class TestInferShapes:
         # a 2x2 pool over conv1's 5x5 maps: rejected by shape inference, so
         # nothing that sizes buffers or launches kernels gets a spec past it
         spec = NetworkSpec(
-            input_shape=Shape(1, 9, 9),
+            input_shape=(1, 9, 9),
             layers=(conv(20, 5), pool(2), conv(20, 1), pool(1),
                     fully_connected(5), relu(), fully_connected(2)),
             stage_grouping=(("conv_pool1", 0, 2), ("conv2", 2, 3), ("pool2", 3, 4),
@@ -169,7 +169,7 @@ class TestValidation:
     def test_grouping_must_cover_all_layers(self):
         with pytest.raises(ValueError):
             NetworkSpec(
-                input_shape=Shape(1, 28, 28),
+                input_shape=(1, 28, 28),
                 layers=lenet5_spec().layers,
                 stage_grouping=(("conv_pool1", 0, 2), ("conv2", 2, 3), ("pool2", 3, 4),
                                 ("ip1_relu", 4, 6), ("ip2", 6, 6)),
@@ -178,7 +178,7 @@ class TestValidation:
     def test_grouping_names_fixed(self):
         with pytest.raises(ValueError):
             NetworkSpec(
-                input_shape=Shape(1, 28, 28),
+                input_shape=(1, 28, 28),
                 layers=lenet5_spec().layers,
                 stage_grouping=(("first", 0, 2), ("conv2", 2, 3), ("pool2", 3, 4),
                                 ("ip1_relu", 4, 6), ("ip2", 6, 7)),
@@ -191,6 +191,13 @@ class TestValidation:
             pool(2, "median")
         with pytest.raises(ValueError):
             fully_connected(0)
+
+    @pytest.mark.parametrize("dims", [(0, 28, 28), (1, -28, 28), (1, 28.0, 28), (1, "28", 28),
+                                      (28, 28), (1, 1, 28, 28), ()])
+    def test_input_shape_must_be_three_positive_int_extents(self, dims):
+        with pytest.raises(ValueError, match="input shape must be 3 positive integer extents"):
+            NetworkSpec(input_shape=dims, layers=lenet5_spec().layers,
+                        stage_grouping=lenet5_spec().stage_grouping)
 
 
 #: Weight-block field names (``conv1_w``, ``ip2_b``, ...), which only the
