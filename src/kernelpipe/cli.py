@@ -16,6 +16,7 @@ a value that is not a finite number is a user error naming its line.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -289,9 +290,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: a parse writes only its own namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
         return 1 if exc.code else 0
     try:

@@ -248,8 +248,8 @@ def write_results_csv(records, path):
 
 def read_results_csv(path) -> list[tuple[str, BenchRecord]]:
     """Inverse of :func:`write_results_csv`; rows for one (kernel, platform)
-    must cover exactly the three modes, once each, with finite values and a
-    positive time."""
+    must cover exactly the three modes, once each, with finite values, a
+    positive time and no negative resource count."""
     groups: dict[tuple[str, str], dict[str, tuple]] = {}
     for line, row in _read_csv(path, BENCH_CSV_HEADER):
         kernel, platform, mode = row[0], row[1], row[2]
@@ -263,6 +263,9 @@ def read_results_csv(path) -> list[tuple[str, BenchRecord]]:
         modes[mode] = tuple(_parse_float(v, path, line) for v in row[3:])
         if modes[mode][0] <= 0:
             raise FileFormatError(path, line, f"time_ms must be positive, got {row[3]!r}")
+        for column, value, token in zip(BENCH_CSV_HEADER[4:], modes[mode][1:], row[4:]):
+            if value < 0:
+                raise FileFormatError(path, line, f"{column} must not be negative, got {token!r}")
     records = []
     for (platform, kernel), modes in groups.items():
         if set(modes) != set(MODE_ORDER):

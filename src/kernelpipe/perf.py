@@ -28,7 +28,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .netdef import NetworkSpec, infer_shapes, layer_weights, stage_io_shapes
+from .netdef import STAGE_NAMES, NetworkSpec, infer_shapes, layer_weights, stage_io_shapes
 from .ocl import ParallelMode
 from .tensors import QFormat
 
@@ -132,45 +132,46 @@ class KernelFootprint:
         return self.bytes_read + self.bytes_written
 
 
-def kernel_footprint(spec: NetworkSpec, stage: str, q: QFormat,
-                     batch: int = 1) -> KernelFootprint:
-    """Analytic MAC and byte counts for one pipeline stage run on ``batch``
-    images in one command.
+def pipeline_footprints(spec: NetworkSpec, q: QFormat,
+                        batch: int = 1) -> list[KernelFootprint]:
+    """Analytic MAC and byte counts for each pipeline stage, in order, run on
+    ``batch`` images in one command.
 
     Bytes follow the cached-global convention: each input and weight element
     is fetched once, each output element written once, at the format's
     storage width.  Weights and biases are fetched once per command;
     activations and MACs scale with ``batch``.
     """
-    io = stage_io_shapes(spec)
-    if stage not in io:
-        raise KeyError(f"unknown stage {stage!r}")
     if batch < 1:
         raise ValueError(f"batch must be at least 1, got {batch}")
-    in_shape, out_shape = io[stage]
-    _, start, end = next(g for g in spec.stage_grouping if g[0] == stage)
-
-    # each output element is one dot product over a weight row; the bias
-    # adds one element per row
-    outs, blocks = infer_shapes(spec), layer_weights(spec)
-    macs = weight_elems = 0
-    for index in range(start, end):
-        if blocks[index]:
-            _, w = blocks[index]
-            macs += math.prod(outs[index]) * math.prod(w[1:])
-            weight_elems += math.prod(w) + w[0]
-
+    io, outs, blocks = stage_io_shapes(spec), infer_shapes(spec), layer_weights(spec)
     width = q.element_bytes
-    return KernelFootprint(
-        stage=stage,
-        macs=macs * batch,
-        bytes_read=(math.prod(in_shape) * batch + weight_elems) * width,
-        bytes_written=math.prod(out_shape) * batch * width,
-    )
+    footprints = []
+    for stage, start, end in spec.stage_grouping:
+        # each output element is one dot product over a weight row; the bias
+        # adds one element per row
+        macs = weight_elems = 0
+        for index in range(start, end):
+            if blocks[index]:
+                _, w = blocks[index]
+                macs += math.prod(outs[index]) * math.prod(w[1:])
+                weight_elems += math.prod(w) + w[0]
+        in_shape, out_shape = io[stage]
+        footprints.append(KernelFootprint(
+            stage=stage,
+            macs=macs * batch,
+            bytes_read=(math.prod(in_shape) * batch + weight_elems) * width,
+            bytes_written=math.prod(out_shape) * batch * width,
+        ))
+    return footprints
 
 
-def pipeline_footprints(spec: NetworkSpec, q: QFormat) -> list[KernelFootprint]:
-    return [kernel_footprint(spec, name, q) for name, _, _ in spec.stage_grouping]
+def kernel_footprint(spec: NetworkSpec, stage: str, q: QFormat,
+                     batch: int = 1) -> KernelFootprint:
+    """One stage's entry of :func:`pipeline_footprints`."""
+    if stage not in STAGE_NAMES:
+        raise KeyError(f"unknown stage {stage!r}")
+    return pipeline_footprints(spec, q, batch)[STAGE_NAMES.index(stage)]
 
 
 # -- roofline timing -----------------------------------------------------------

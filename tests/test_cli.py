@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from kernelpipe import fixtures
+from kernelpipe import cli, fixtures
 from kernelpipe.cli import build_parser, main
 from kernelpipe.ingest import (
     read_results_csv,
@@ -220,6 +220,15 @@ class TestBench:
         assert captured.out == ""
         assert captured.err == f"error: {path}:3: time_ms must be positive, got '-2.5'\n"
 
+    def test_replay_negative_resource_is_user_error(self, tmp_path, capsys):
+        path = tmp_path / "bench.csv"
+        write_results_csv([(XILINX, BenchRecord("conv2", (1.0, 1.0, 1.0),
+                                                (-5, 0, 0), (0, -7, 0), (0, 0, 0)))], path)
+        assert main(["bench", "--from-csv", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}:2: logic_k must not be negative, got '-5.0'\n"
+
 
 class TestSweep:
     def test_small_grid_writes_csv(self, tmp_path, capsys):
@@ -433,6 +442,49 @@ class TestUsageErrors:
     def test_help_exits_0(self, command, capsys):
         assert main([command, "--help"]) == 0
         assert "usage" in capsys.readouterr().out
+
+
+STREAM = ["stream", "--platform", "altera", "--interval", "1"]
+
+
+class TestSharedParser:
+    """``main`` builds its parser once per process, so a parse must leave
+    nothing on it for the next one."""
+
+    SEQUENCES = {
+        "one board, then both": ([["bench", "--platform", "altera"], ["bench"]], [0, 0]),
+        "simd, then the default mode": ([STREAM + ["--mode", "simd", "--width", "16"], STREAM],
+                                        [0, 0]),
+        "usage error, help, valid": ([STREAM[:-1] + ["abc"], ["stream", "--help"], STREAM],
+                                     [1, 0, 0]),
+    }
+
+    @staticmethod
+    def run(sequence, capsys):
+        results = []
+        for argv in sequence:
+            rc = main(argv)
+            captured = capsys.readouterr()
+            results.append((rc, captured.out, captured.err))
+        return results
+
+    @pytest.mark.parametrize("sequence, codes", SEQUENCES.values(), ids=SEQUENCES)
+    def test_matches_a_fresh_parser_per_call(self, sequence, codes, capsys, monkeypatch):
+        monkeypatch.delenv("KERNELPIPE_CONFIG", raising=False)
+        with monkeypatch.context() as fresh:
+            fresh.setattr(cli, "_parser", build_parser)
+            expected = self.run(sequence, capsys)
+        assert [rc for rc, _, _ in expected] == codes
+
+        builds = []
+        def counted_build():
+            builds.append(1)
+            return build_parser()
+        monkeypatch.setattr(cli, "build_parser", counted_build)
+        cli._parser.cache_clear()
+        assert self.run(sequence, capsys) == expected
+        assert self.run(sequence, capsys) == expected
+        assert len(builds) == 1
 
 
 class TestDefaults:

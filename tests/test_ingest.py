@@ -6,6 +6,7 @@ import pytest
 
 from kernelpipe import fixtures
 from kernelpipe.ingest import (
+    BENCH_CSV_HEADER,
     INPUT_SHAPE,
     FileFormatError,
     load_config,
@@ -319,6 +320,19 @@ class TestResultsCsv:
         with pytest.raises(FileFormatError) as info:
             read_results_csv(path)
         assert str(info.value) == f"{path}:3: time_ms must be positive, got {token!r}"
+
+    @pytest.mark.parametrize("column", ["logic_k", "dsp", "bram_kb"])
+    def test_negative_resource_rejected(self, column, tmp_path):
+        path = tmp_path / "bench.csv"
+        write_results_csv(sample_records()[:1], path)
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")  # the unroll row
+        cells[BENCH_CSV_HEADER.index(column)] = "-5"
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError) as info:
+            read_results_csv(path)
+        assert str(info.value) == f"{path}:3: {column} must not be negative, got '-5'"
 
     def test_duplicate_row_rejected(self, tmp_path):
         path = tmp_path / "bench.csv"

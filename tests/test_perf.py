@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kernelpipe.netdef import lenet5_spec
+from kernelpipe.netdef import AVG_POOL, MAX_POOL, lenet5_spec
 from kernelpipe.ocl import ParallelMode
 from kernelpipe.perf import (
     ALTERA,
@@ -162,6 +162,17 @@ class TestFootprints:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="batch"):
             kernel_footprint(SPEC, "ip2", Q, batch=0)
+
+    @pytest.mark.parametrize("pool_op", [MAX_POOL, AVG_POOL])
+    def test_pipeline_batch_of_three(self, pool_op):
+        # (stage, MACs, bytes read, bytes written) at 2 bytes per element
+        expected = [("conv_pool1", 864_000, (3 * 784 + 520) * 2, 3 * 2880 * 2),
+                    ("conv2", 4_800_000, (3 * 2880 + 25_050) * 2, 3 * 3200 * 2),
+                    ("pool2", 0, 3 * 3200 * 2, 3 * 800 * 2),
+                    ("ip1_relu", 1_200_000, (3 * 800 + 400_500) * 2, 3 * 500 * 2),
+                    ("ip2", 15_000, (3 * 500 + 5010) * 2, 3 * 10 * 2)]
+        fps = pipeline_footprints(lenet5_spec(pool_op), Q, batch=3)
+        assert [(fp.stage, fp.macs, fp.bytes_read, fp.bytes_written) for fp in fps] == expected
 
 
 def mhz200(**kwargs):
