@@ -16,12 +16,16 @@ results come from :func:`kernelpipe.reference.forward_float`.  Its arithmetic
 matches :func:`kernelpipe.reference.forward_quantized` bit for bit: exact
 accumulation, bias aligned by a left shift and added in int64, one
 round-to-nearest-even narrowing per output element, saturation instead of
-wraparound.  Each weighted stage decides once per forward, from the format
-and its weight block's largest magnitude
-(:func:`~kernelpipe.tensors.float_dot_is_exact`), whether its dot products
-run in float64, which is exact there and reaches BLAS; otherwise they stay
-int64.  A float stage's weight buffer and local region are float64: the
-transfer casts the raws, and each conv group casts the stage input once.
+wraparound.  Every weighted stage runs its dot products in float64, which
+reaches BLAS: it decides once per forward, from the format and its weight
+block's largest magnitude (:func:`~kernelpipe.tensors.float_limb_bits`),
+how wide a limb of its input may be for every limb's dot to be exact in
+float64.  After the overflow check it splits its input into those limbs
+(one limb, the input itself, for every stage of Q8 to Q24 with the
+synthetic weights), stacks them along the image axis, makes one product,
+and joins the limbs' dots with shifts in int64.  Each weight buffer and
+conv local region is float64: the transfer casts the raws, and each conv
+group casts the stage input's limbs once.
 
 Geometry and weights come from :mod:`kernelpipe.netdef`: each kernel takes
 its conv kernel edge (stride 1) and its pool window and op (non-overlapping)
@@ -34,13 +38,14 @@ widened datapath.  A conv stage runs in work-groups of 10 (2 and 5 groups)
 that share one local region, as the paper's processing units share
 BlockRAM: the group reads the batch's stage input from global memory once,
 runs the overflow check and stages the stacked shifted slices as a (taps,
-images x positions) matrix; after a barrier it reduces that matrix with its
-lanes' filters in one product and narrows once.  pool2 is one work-group
-of 50 lanes.  The overflow check runs per image in batch order, so a batch
-raises at the first stage where some image fails, with the message
-:func:`forward` gives for the first such image alone.  Compute-unit
-replication reorders a stage's groups only when some unit gets two or more:
-conv2's five under two to four units; no other stage has more than two groups.
+limbs x images x positions) matrix; after a barrier it reduces that matrix
+with its lanes' filters in one product, joins the limbs and narrows once.
+pool2 is one work-group of 50 lanes.  The overflow check runs per image in
+batch order, so a batch raises at the first stage where some image fails,
+with the message :func:`forward` gives for the first such image alone.
+Compute-unit replication reorders a stage's groups only when some unit gets
+two or more: conv2's five under two to four units; no other stage has more
+than two groups.
 Pooling takes one strided slice per window offset, and a fully-connected
 layer is one matrix product over the batch.
 """
@@ -62,9 +67,12 @@ from .tensors import (
     check_accumulation_bound,
     dequantize_array,
     div_round_even_array,
-    float_dot_is_exact,
+    float_limb_bits,
+    join_limbs,
+    limb_count,
     narrow_array,
     quantize_array,
+    split_limbs,
 )
 from .weights import WeightStore
 
@@ -73,7 +81,8 @@ from .weights import WeightStore
 CONV_GROUP_SIZE = 10
 
 #: Most images one engine batch should hold: it caps conv2's local region at
-#: 32 x 32,000 float64 elements (8 MB).
+#: 32 x 32,000 float64 elements per limb (8 MB at one limb, 16 MB at the two
+#: of Q32.16 and Q32.24 with the synthetic weights, 24 MB at most).
 BATCH_SIZE = 32
 
 
@@ -158,19 +167,21 @@ def _pool_plane(pool: LayerSpec, q: QFormat):
     return reduce
 
 
-def _make_conv(layers, inp: tuple[int, ...], batch: int, q: QFormat, check, dot_dtype):
+def _make_conv(layers, inp: tuple[int, ...], batch: int, q: QFormat, check, limb_bits):
     """Stride-1 valid convolution, fused with pooling when the stage has a
-    pool layer.  Each work-group reads the whole batch's input once, casts
-    it to ``dot_dtype`` and stages its shifted slices in the local region
-    ``cols``, one column per image and output position; after the barrier,
-    lane m reduces them with filter m (all lanes in one product), adds bias
-    m in int64, narrows its conv maps, pools them if fused, and writes
-    output map m of every image."""
+    pool layer.  Each work-group reads the whole batch's input once, splits
+    it into limbs of ``limb_bits`` bits, casts them to float64 and stages
+    their shifted slices in the local region ``cols``, one column per limb,
+    image and output position; after the barrier, lane m reduces them with
+    filter m (all lanes in one product), joins the limbs, adds bias m in
+    int64, narrows its conv maps, pools them if fused, and writes output
+    map m of every image."""
     pool = _pool_plane(layers[1], q) if len(layers) > 1 else None
     frac = q.frac_bits
     k = layers[0].kernel
     oh, ow = (n - k + 1 for n in inp[1:])
     taps = inp[0] * k * k
+    limbs = limb_count(limb_bits, q.total_bits)
 
     def body(ctx):
         m = ctx.global_ids[:, 0]  # each lane's output map
@@ -178,22 +189,24 @@ def _make_conv(layers, inp: tuple[int, ...], batch: int, q: QFormat, check, dot_
         x = ctx.regions["src"].read(Ellipsis)
         if check:
             check(x)
-        x = x.astype(dot_dtype, copy=False).swapaxes(0, 1)  # (channels, images, H, W)
+        x = split_limbs(x, limb_bits, q.total_bits).reshape(limbs * batch, *inp)
+        x = x.astype(np.float64).swapaxes(0, 1)  # (channels, limbs x images, H, W)
         cols.write(Ellipsis, np.stack(
             [x[..., dy:dy + oh, dx:dx + ow] for dy in range(k) for dx in range(k)],
             axis=1).reshape(-1))
         yield
         w = ctx.regions["wts"].read(m).reshape(len(m), taps)
-        conv = (w @ cols.read(Ellipsis).reshape(taps, -1)).astype(np.int64, copy=False)
+        parts = (w @ cols.read(Ellipsis).reshape(taps, -1)).astype(np.int64)
+        conv = join_limbs(parts.reshape(len(m), limbs, -1).swapaxes(0, 1), limb_bits)
         conv = narrow_array(conv + (ctx.regions["bias"].read(m)[:, None] << frac), q)
         conv = conv.reshape(len(m), batch, oh, ow)
         ctx.regions["dst"].write((slice(None), m), (pool(conv) if pool else conv).swapaxes(0, 1))
         ctx.count_macs(conv.size * taps)
 
-    return body, {"cols": (taps * batch * oh * ow, dot_dtype)}
+    return body, {"cols": (taps * limbs * batch * oh * ow, np.float64)}
 
 
-def _make_pool(layers, inp: tuple[int, ...], batch: int, q: QFormat, check, dot_dtype):
+def _make_pool(layers, inp: tuple[int, ...], batch: int, q: QFormat, check, limb_bits):
     (pool,) = layers
     reduce = _pool_plane(pool, q)
 
@@ -204,12 +217,14 @@ def _make_pool(layers, inp: tuple[int, ...], batch: int, q: QFormat, check, dot_
     return body, {}
 
 
-def _make_fc(layers, inp: tuple[int, ...], batch: int, q: QFormat, check, dot_dtype):
-    """The whole fully-connected layer as one work-item: one matrix product
-    over the batch in ``dot_dtype``, the bias added in int64, one narrowing,
-    then ReLU when the stage has it."""
+def _make_fc(layers, inp: tuple[int, ...], batch: int, q: QFormat, check, limb_bits):
+    """The whole fully-connected layer as one work-item: the batch's input
+    split into limbs of ``limb_bits`` bits, one float64 matrix product over
+    limbs x images, the limbs joined and the bias added in int64, one
+    narrowing, then ReLU when the stage has it."""
     relu = layers[-1].kind == "relu"
     frac = q.frac_bits
+    limbs = limb_count(limb_bits, q.total_bits)
 
     def body(ctx):
         x = ctx.regions["src"].read(Ellipsis).reshape(batch, -1)
@@ -217,8 +232,9 @@ def _make_fc(layers, inp: tuple[int, ...], batch: int, q: QFormat, check, dot_dt
         b = ctx.regions["bias"].read(Ellipsis)
         if check:
             check(x)
-        dot = (x.astype(dot_dtype, copy=False) @ w.T).astype(np.int64, copy=False)
-        out = narrow_array(dot + (b << frac), q)
+        x = split_limbs(x, limb_bits, q.total_bits).reshape(limbs * batch, -1)
+        parts = (x.astype(np.float64) @ w.T).astype(np.int64)
+        out = narrow_array(join_limbs(parts.reshape(limbs, batch, -1), limb_bits) + (b << frac), q)
         ctx.regions["dst"].write(Ellipsis, np.maximum(out, 0) if relu else out)
         ctx.count_macs(batch * w.size)
 
@@ -226,8 +242,8 @@ def _make_fc(layers, inp: tuple[int, ...], batch: int, q: QFormat, check, dot_dt
 
 
 #: Kernel factory ``(stage layers, one image's stage input shape, batch size,
-#: format, overflow check, dot-product dtype) -> (body, local region (count,
-#: dtype) specs)`` per kind of a stage's first layer.
+#: format, overflow check, activation limb width) -> (body, local region
+#: (count, dtype) specs)`` per kind of a stage's first layer.
 _KERNEL_FACTORIES = {"conv": _make_conv, "pool": _make_pool, "fully_connected": _make_fc}
 
 
@@ -275,19 +291,19 @@ def forward_batch(images, store: WeightStore, mode: ParallelMode | None = None,
     for name, start, end in spec.stage_grouping:
         bindings = {"src": src, "dst": buf(f"out_{name}", (batch, *io[name][1]))}
         waits = [done]
-        check, dot_dtype = None, np.int64
+        check, limb_bits = None, None
         if blocks[start]:  # a stage's weighted layer is its first
             block, _ = blocks[start]
             wname, bname = f"{block}_w", f"{block}_b"
             taps, wmax = arrays[wname][0].size, store.abs_max[wname]
             check = _overflow_check(q, taps, wmax, store.abs_max[bname])
-            dot_dtype = np.float64 if float_dot_is_exact(taps, wmax, q) else np.int64
-            bindings.update(wts=buf(wname, arrays[wname].shape, dot_dtype),
+            limb_bits = float_limb_bits(taps, wmax, q)
+            bindings.update(wts=buf(wname, arrays[wname].shape, np.float64),
                             bias=buf(bname, arrays[bname].shape))
             waits += [queue.enqueue_write(bindings["wts"], arrays[wname]),
                       queue.enqueue_write(bindings["bias"], arrays[bname])]
         body, local_specs = _KERNEL_FACTORIES[spec.layers[start].kind](
-            spec.layers[start:end], io[name][0], batch, q, check, dot_dtype)
+            spec.layers[start:end], io[name][0], batch, q, check, limb_bits)
         kernel = KernelDef(name, body, mode=mode, bindings=bindings, local_specs=local_specs,
                            lockstep=True)
         done = queue.enqueue_kernel(kernel, ndranges[name], waits=waits)

@@ -56,10 +56,12 @@ def _walk(image: np.ndarray, store: WeightStore, pool_op: str,
 
 def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Valid stride-1 convolution of x (C,H,W) with w (M,C,k,k) plus b (M,),
-    in x's dtype."""
+    in x's dtype.  ``optimize=True`` lets numpy contract the windows with
+    ``tensordot``: exact in int64, and in float64 summed in numpy's order."""
     k = w.shape[2]
     windows = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(1, 2))
-    return np.einsum("cyxij,fcij->fyx", windows, w, dtype=x.dtype) + b[:, None, None]
+    conv = np.einsum("cyxij,fcij->fyx", windows, w, dtype=x.dtype, optimize=True)
+    return conv + b[:, None, None]
 
 
 def _fc(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:

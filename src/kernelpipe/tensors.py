@@ -5,12 +5,16 @@ data (images, float weight stores, reference outputs) stays in plain numpy
 arrays.  Fixed arithmetic is exact: products and sums carry no intermediate
 rounding, and each output element takes one rounding step,
 :func:`div_round_even_array` (floor division, then round half to even), the
-only integer rounding primitive.  Accumulators are int64, or float64 where
-:func:`float_dot_is_exact` proves every partial sum an integer below 2**53,
-which float64 holds exactly.  Because the accumulation is exact, any
-summation order produces the same raw value; the documented canonical order
-(input-channel outer, kernel row, kernel column) is what every
-implementation in this package follows.
+only integer rounding primitive.  Accumulators are int64.  A dot product
+may run in float64 instead, limb by limb, since float64 holds every integer
+below 2**53 exactly: :func:`float_limb_bits` picks a limb width for its
+activations so that every partial sum of each limb's dot is an integer
+below 2**53, :func:`split_limbs` cuts the activations into those limbs and
+:func:`join_limbs` recombines the limbs' dots in int64 (the error-free
+splitting of Ozaki, Ogita, Oishi and Rump, 2012, in integer form).  Because
+the accumulation is exact, any summation order produces the same raw value;
+the documented canonical order (input-channel outer, kernel row, kernel
+column) is what every implementation in this package follows.
 
 Layout convention everywhere: row-major with channel as the outermost axis
 (numpy C order on (channels, height, width) arrays).
@@ -80,10 +84,12 @@ def quantize_array(x: np.ndarray, q: QFormat) -> np.ndarray:
     """Round-to-nearest-even of x * 2**frac_bits, saturated to the raw
     range; returns int64 raws."""
     x = np.asarray(x, dtype=np.float64)
-    if np.isnan(x).any():
+    raw = np.multiply(x, q.scale, out=np.empty_like(x))  # NaN exactly where x is
+    if np.isnan(raw).any():
         raise ValueError("cannot quantize NaN")
-    raw = np.rint(x * q.scale)
-    return np.clip(raw, q.raw_min, q.raw_max).astype(np.int64)
+    np.rint(raw, out=raw)
+    np.clip(raw, q.raw_min, q.raw_max, out=raw)
+    return raw.astype(np.int64)
 
 
 def dequantize_array(raw: np.ndarray, q: QFormat) -> np.ndarray:
@@ -131,19 +137,60 @@ def accumulation_is_static_safe(taps: int, weight_max: int, bias_max: int,
     return _accumulation_bound(taps, -q.raw_min, weight_max, bias_max, q) < accumulator_limit(q)
 
 
-def float_dot_is_exact(taps: int, weight_max: int, q: QFormat) -> bool:
-    """True when every ``taps``-term dot product of weights up to
-    ``weight_max`` with activations of ``q`` that the overflow check admits
-    is exact in float64, in any summation order.
+def float_limb_bits(taps: int, weight_max: int, q: QFormat) -> int:
+    """Activation limb width ``s`` for ``taps``-term dot products of weights
+    up to ``weight_max`` with activations of ``q`` that the overflow check
+    admits, such that each limb's dot (:func:`split_limbs`) is exact in
+    float64, in any summation order.
 
     Every partial sum is bounded by the sum of the terms' magnitudes, and
-    float64 holds every integer below 2**53 exactly.  So either that sum
-    with ``q``'s largest activation, ``-q.raw_min``, stays below 2**53, or
-    the accumulator limit does: the static skip or the guard keeps every
-    admitted sum below it.  The bias is not part of the float sum.
+    float64 holds every integer below 2**53 exactly.  The whole raw is one
+    limb (``s`` is ``q.total_bits``) when that sum with ``q``'s largest
+    activation, ``-q.raw_min``, stays below 2**53, or when the accumulator
+    limit does: the static skip or the guard keeps every admitted sum below
+    it.  Otherwise ``s`` is the largest width with
+    ``taps * weight_max * 2**s < 2**53``: every limb's magnitude is at most
+    ``2**s``.  The bias is not part of the float sum.  Raises ValueError when
+    no width of at least one bit exists.
     """
-    return (taps * -q.raw_min * int(weight_max) < FLOAT64_EXACT_LIMIT
-            or accumulator_limit(q) <= FLOAT64_EXACT_LIMIT)
+    bound = taps * int(weight_max)
+    if bound * -q.raw_min < FLOAT64_EXACT_LIMIT or accumulator_limit(q) <= FLOAT64_EXACT_LIMIT:
+        return q.total_bits
+    if 2 * bound >= FLOAT64_EXACT_LIMIT:
+        raise ValueError(f"no float64 limb width for {taps} taps with |w|<={weight_max} in {q}")
+    return ((FLOAT64_EXACT_LIMIT - 1) // bound).bit_length() - 1
+
+
+def limb_count(s: int, total_bits: int) -> int:
+    """The fewest ``s``-bit limbs of a ``total_bits`` raw whose signed top
+    limb stays within ``[-2**s, 2**s)``: one for ``s >= total_bits - 1``."""
+    return -(-(total_bits - 1) // s)
+
+
+def split_limbs(x: np.ndarray, s: int, total_bits: int) -> np.ndarray:
+    """int64 raws of ``total_bits`` bits as their :func:`limb_count` limbs,
+    stacked along a new leading axis, ``x == sum(parts[j] << (s * j))``:
+    each low limb is ``(x >> s*j) & (2**s - 1)`` and the top limb is the
+    signed rest ``x >> s*(n-1)``.  One limb is a view of ``x``."""
+    x = np.asarray(x, dtype=np.int64)
+    top = s * (limb_count(s, total_bits) - 1)
+    if not top:
+        return x[None]
+    mask = (1 << s) - 1
+    return np.stack([(x >> shift) & mask for shift in range(0, top, s)] + [x >> top])
+
+
+def join_limbs(parts: np.ndarray, s: int) -> np.ndarray:
+    """Inverse of :func:`split_limbs` along the leading axis, in int64, and
+    so also the recombination of each limb's exact dot with the same
+    weights: Horner's rule from the top limb down.  The running value after
+    limb j is the dot with ``x >> s*j``; shifted up it stays below the dot's
+    bound over ``|x|`` plus one limb's bound, so below 2**63 whenever the
+    first is below 2**62 (the overflow check) and the second below 2**53."""
+    acc = parts[-1]
+    for part in parts[-2::-1]:
+        acc = (acc << s) + part
+    return acc
 
 
 def check_accumulation_bound(taps: int, activation_max: int, weight_max: int,

@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -18,7 +19,8 @@ from kernelpipe.tensors import (
     FixedPointOverflowError,
     QFormat,
     accumulator_limit,
-    float_dot_is_exact,
+    float_limb_bits,
+    limb_count,
     quantize_array,
 )
 from kernelpipe.weights import WEIGHT_SHAPES, WeightStore, zero_weights
@@ -492,32 +494,58 @@ def oracle_fc(x, w, b, j: int, q: QFormat) -> int:
     return oracle_narrow(acc + (int(b[j]) << q.frac_bits), q)
 
 
-def largest_admitted_dot(taps: int, wmax: int, bmax: int, q: QFormat) -> int:
-    """The largest dot-product magnitude bound the overflow check admits:
-    taps * a * wmax for the largest activation a <= -raw_min whose
-    accumulation bound stays below the accumulator limit (0 if none does)."""
+def largest_admitted_activation(taps: int, wmax: int, bmax: int, q: QFormat) -> int:
+    """The largest activation magnitude a <= -raw_min whose accumulation
+    bound stays below the accumulator limit (0 if none does)."""
     room = accumulator_limit(q) - (bmax << q.frac_bits)
     if room <= 0:
         return 0
-    a = -q.raw_min if taps * wmax == 0 else min(-q.raw_min, (room - 1) // (taps * wmax))
-    return taps * a * wmax
+    return -q.raw_min if taps * wmax == 0 else min(-q.raw_min, (room - 1) // (taps * wmax))
 
 
-def with_weight_dtypes(run):
-    """``run()``'s result, and the dtype each weight block's buffer had when
-    a kernel read it: float64 where the engine took the float path."""
-    seen = {}
-    read = Buffer.read
+def largest_admitted_dot(taps: int, wmax: int, bmax: int, q: QFormat) -> int:
+    """The largest dot-product magnitude bound the overflow check admits:
+    taps * a * wmax for the largest admitted activation a."""
+    return taps * largest_admitted_activation(taps, wmax, bmax, q) * wmax
+
+
+def largest_limb_dots(taps: int, wmax: int, bmax: int, q: QFormat, s: int,
+                      limbs: int) -> list[int]:
+    """Each limb's largest dot-product magnitude bound when the admitted
+    activations, |x| <= a, are cut into ``limbs`` limbs of ``s`` bits: a
+    low limb is a digit up to 2**s - 1, and the top limb, x >> s*(limbs-1)
+    over Python ints, reaches ceil(a / 2**(s*(limbs-1))) at x = -a."""
+    top = -(-largest_admitted_activation(taps, wmax, bmax, q) >> s * (limbs - 1))
+    return [taps * wmax * ((1 << s) - 1)] * (limbs - 1) + [taps * wmax * top]
+
+
+def with_dot_paths(run):
+    """``run()``'s result, and per weight block the path its stage's dot
+    products took: the dtype its buffer had when a kernel read it, the limb
+    width the engine split the stage input at, and the limb count."""
+    spec = lenet5_spec()
+    io, blocks = netdef.stage_io_shapes(spec), netdef.layer_weights(spec)
+    # each weighted stage's per-image input size names its block
+    block_of = {math.prod(io[name][0]): f"{blocks[start][0]}_w"
+                for name, start, _ in spec.stage_grouping if blocks[start]}
+    dtypes, splits = {}, {}
+    read, split = Buffer.read, pipeline.split_limbs
 
     def spying_read(self, key):
         if self.name.endswith("_w"):
-            seen[self.name] = self.array.dtype
+            dtypes[self.name] = self.array.dtype
         return read(self, key)
+
+    def spying_split(x, s, total_bits):
+        parts = split(x, s, total_bits)
+        splits[block_of[x[0].size]] = (s, len(parts))
+        return parts
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Buffer, "read", spying_read)
+        mp.setattr(pipeline, "split_limbs", spying_split)
         result = run()
-    return result, seen
+    return result, {name: (dtype, *splits[name]) for name, dtype in dtypes.items()}
 
 
 def delta_filters(maps: int, channels: int, k: int, q: QFormat) -> np.ndarray:
@@ -532,8 +560,9 @@ def delta_filters(maps: int, channels: int, k: int, q: QFormat) -> np.ndarray:
 class TestFloatDotOracle:
     """Around 2**53 and the accumulator limit, the engine equals a
     Python-int loop nest and the quantized reference, the guard raises
-    exactly when the bound reaches the limit, and the float64 path is taken
-    only where every admitted dot product stays below 2**53."""
+    exactly when the bound reaches the limit, and the float64 dot products
+    split their input at the rule's limb width, where every limb's admitted
+    dot product stays below 2**53."""
 
     @staticmethod
     def store_and_image(target: str, q: QFormat, a: int, wmax: int, bmax: int, seed: int):
@@ -603,7 +632,7 @@ class TestFloatDotOracle:
             with pytest.raises(FixedPointOverflowError, match=f"{taps} taps"):
                 reference.forward_quantized(image, store)
             return
-        result, dtypes = with_weight_dtypes(lambda: pipeline.forward(image, store))
+        result, paths = with_dot_paths(lambda: pipeline.forward(image, store))
         raw_logits, stages = reference.forward_quantized(image, store)
         assert np.array_equal(result.raw_logits, raw_logits)
         for stage in result.stages:
@@ -620,12 +649,12 @@ class TestFloatDotOracle:
         assert stages["ip1_relu"][j] == max(0, oracle_fc(stages["pool2"], store.ip1_w,
                                                          store.ip1_b, j, q))
 
-        # the float path only where every admitted dot stays below 2**53
-        took_float = dtypes[f"{target}_w"] == np.float64
-        assert took_float == float_dot_is_exact(taps, wmax, q)
-        if took_float:
-            assert largest_admitted_dot(taps, wmax, store.abs_max[f"{target}_b"], q) \
-                < FLOAT64_EXACT_LIMIT
+        # float64 at the rule's limb width, every limb's admitted dot below 2**53
+        dtype, s, limbs = paths[f"{target}_w"]
+        assert dtype == np.float64
+        assert s == float_limb_bits(taps, wmax, q)
+        assert max(largest_limb_dots(taps, wmax, store.abs_max[f"{target}_b"], q, s, limbs)) \
+            < FLOAT64_EXACT_LIMIT
 
     @settings(max_examples=300)
     # the formats either side of accumulator_limit == 2**53, at their largest weights
@@ -639,16 +668,25 @@ class TestFloatDotOracle:
         # taps far past LeNet-5's 800 reach 2**53 at 20 bits, where only
         # the guard's limit (2**55) bounds the sum
         q, wmax, bmax = q_w_b
-        if float_dot_is_exact(taps, wmax, q):
-            assert largest_admitted_dot(taps, wmax, bmax, q) < FLOAT64_EXACT_LIMIT
+        try:
+            s = float_limb_bits(taps, wmax, q)
+        except ValueError:  # one limb is not exact, nor are one-bit limbs
+            assert taps * -q.raw_min * wmax >= FLOAT64_EXACT_LIMIT < accumulator_limit(q)
+            assert 2 * taps * wmax >= FLOAT64_EXACT_LIMIT
+            return
+        limbs = limb_count(s, q.total_bits)
+        assert max(largest_limb_dots(taps, wmax, bmax, q, s, limbs)) < FLOAT64_EXACT_LIMIT
+        if limbs > 1:  # the widest such limbs: one bit more reaches 2**53
+            assert taps * wmax << (s + 1) >= FLOAT64_EXACT_LIMIT
 
-    @pytest.mark.parametrize("q, dtype", [(Q, np.float64), (QFormat(32, 24), np.int64)],
-                             ids=["Q16.8-float64", "Q32.24-int64"])
-    def test_path_per_block(self, store42, image42, q, dtype):
+    @pytest.mark.parametrize("q, limbs", [(Q, 1), (QFormat(32, 24), 2)],
+                             ids=["Q16.8-float64", "Q32.24-float64-2-limbs"])
+    def test_path_per_block(self, store42, image42, q, limbs):
         fixed = store42.quantize(q)
-        _, dtypes = with_weight_dtypes(lambda: pipeline.forward(image42, fixed))
-        assert dtypes == {f"{block}_w": np.dtype(dtype)
-                          for block in ("conv1", "conv2", "ip1", "ip2")}
+        _, paths = with_dot_paths(lambda: pipeline.forward(image42, fixed))
+        assert {name: (dtype, n) for name, (dtype, _, n) in paths.items()} == {
+            f"{block}_w": (np.dtype(np.float64), limbs)
+            for block in ("conv1", "conv2", "ip1", "ip2")}
 
 
 class TestReferenceStaysInteger:

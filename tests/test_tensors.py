@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kernelpipe.tensors import (
     DEFAULT_QFORMAT,
+    FLOAT64_EXACT_LIMIT,
     FixedPointOverflowError,
     QFormat,
     Tensor,
@@ -14,8 +16,12 @@ from kernelpipe.tensors import (
     check_accumulation_bound,
     dequantize_array,
     div_round_even_array,
+    float_limb_bits,
+    join_limbs,
+    limb_count,
     narrow_array,
     quantize_array,
+    split_limbs,
 )
 
 Q = QFormat(16, 8)
@@ -59,6 +65,39 @@ class TestQuantize:
     def test_round_half_even(self):
         raws = quantize_array(np.array([1.5, 0.5, 2.5]) / 256, Q)
         assert raws.tolist() == [2, 0, 2]  # 1.5 -> 2, 0.5 -> 0, 2.5 -> 2
+
+
+def quantize_five_passes(x, q: QFormat):
+    """quantize_array as a NaN scan, a multiply, rint, clip and astype, each
+    making a new array: the form the one-temporary version must equal."""
+    x = np.asarray(x, dtype=np.float64)
+    if np.isnan(x).any():
+        raise ValueError("cannot quantize NaN")
+    return np.clip(np.rint(x * q.scale), q.raw_min, q.raw_max).astype(np.int64)
+
+
+_FORMATS = st.integers(8, 32).flatmap(
+    lambda t: st.builds(QFormat, st.just(t), st.integers(0, t - 1)))
+# finite values stay clear of overflowing x * 2**31, which would warn
+_QUANTIZABLE = st.one_of(st.floats(-(2.0 ** 900), 2.0 ** 900),
+                         st.sampled_from([np.inf, -np.inf, np.nan, 0.5, -0.5, 2.5]))
+
+
+@settings(max_examples=300)
+@given(st.one_of(_QUANTIZABLE, hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3,
+                                                                        min_side=0, max_side=6),
+                                          elements=_QUANTIZABLE)),
+       _FORMATS)
+def test_quantize_matches_five_pass_form(x, q):
+    try:
+        expected = quantize_five_passes(x, q)
+    except ValueError as error:
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            quantize_array(x, q)
+        return
+    raws = quantize_array(x, q)
+    assert (raws.dtype, raws.shape, raws.tobytes()) == \
+        (expected.dtype, expected.shape, expected.tobytes())
 
 
 class TestDequantize:
@@ -181,3 +220,96 @@ class TestTensor:
     def test_dequantize_array_is_exact(self):
         raws = np.array([384, -256, 32767])
         assert dequantize_array(raws, Q).tolist() == [1.5, -1.0, 127.99609375]
+
+
+def boundary_raws(q: QFormat, s: int) -> list[int]:
+    """Raws of ``q`` at its range ends, around zero and around every limb
+    boundary of ``s``-bit limbs, +-2**(s*j) +- 1."""
+    edges = [q.raw_min, q.raw_min + 1, q.raw_max - 1, q.raw_max, -1, 0, 1]
+    for j in range(1, limb_count(s, q.total_bits)):
+        edges += [sign * (1 << s * j) + d for sign in (-1, 1) for d in (-1, 0, 1)]
+    return sorted({v for v in edges if q.raw_min <= v <= q.raw_max})
+
+
+def limb_oracle(v: int, s: int, limbs: int) -> list[int]:
+    """The limbs of ``v`` over Python ints: unsigned s-bit digits, then the
+    signed rest."""
+    return [(v >> s * j) & ((1 << s) - 1) for j in range(limbs - 1)] + [v >> s * (limbs - 1)]
+
+
+class TestLimbs:
+    """Splitting activations into limbs whose dots are exact in float64, and
+    joining those dots in int64 (tensors.split_limbs / join_limbs), against
+    Python ints."""
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_split_join_round_trip(self, data):
+        q = QFormat(data.draw(st.integers(8, 32), label="total"), 0)
+        s = data.draw(st.integers(1, q.total_bits), label="s")
+        x = data.draw(st.lists(st.one_of(st.sampled_from(boundary_raws(q, s)),
+                                         st.integers(q.raw_min, q.raw_max)),
+                               min_size=1, max_size=16), label="x")
+        parts = split_limbs(np.array(x), s, q.total_bits)
+        limbs = limb_count(s, q.total_bits)
+        assert parts.dtype == np.int64 and parts.shape == (limbs, len(x))
+        assert parts.T.tolist() == [limb_oracle(v, s, limbs) for v in x]
+        # the top limb fits s bits signed, and one limb fewer would not
+        assert all(-(1 << s) <= v < 1 << s for v in parts[-1].tolist())
+        if limbs > 1:
+            assert q.raw_min >> s * (limbs - 2) < -(1 << s)
+        assert join_limbs(parts, s).tolist() == x
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_each_limb_dot_exact_up_to_the_accumulator_limit(self, data):
+        """At the rule's limb width, every limb's float64 dot equals its
+        Python-int dot and the joined dots equal the whole dot, for
+        activations up to the largest the overflow check admits: rows
+        aligned with the weights' signs put the dot at that bound."""
+        total = data.draw(st.integers(8, 32), label="total")
+        q = QFormat(total, data.draw(st.integers(0, total - 1), label="frac"))
+        taps = data.draw(st.sampled_from([1, 2, 25, 500, 800]), label="taps")
+        static = max(1, min(q.raw_max, (accumulator_limit(q) - 1) // (taps * -q.raw_min)))
+        wmax = data.draw(st.one_of(st.sampled_from([q.raw_max, static]),
+                                   st.integers(1, q.raw_max)), label="wmax")
+        s = float_limb_bits(taps, wmax, q)
+        limbs = limb_count(s, total)
+        a = min(-q.raw_min, (accumulator_limit(q) - 1) // (taps * wmax))  # largest admitted
+        lo, hi = max(q.raw_min, -a), min(q.raw_max, a)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        if data.draw(st.booleans(), label="full"):
+            w = rng.choice([-wmax, wmax], taps)
+        else:
+            w = rng.integers(-wmax, wmax + 1, taps)
+            w[0] = wmax
+        edges = [v for v in boundary_raws(q, s) if lo <= v <= hi]
+        x = np.stack([np.where(w >= 0, hi, lo), np.where(w >= 0, lo, hi),
+                      rng.choice(edges, taps), rng.integers(lo, hi + 1, taps)])
+
+        dots = split_limbs(x, s, total).astype(np.float64) @ w.astype(np.float64)
+        row_limbs = [[limb_oracle(int(v), s, limbs) for v in row] for row in x]
+        expected = [[sum(int(wi) * vl[j] for vl, wi in zip(row, w)) for row in row_limbs]
+                    for j in range(limbs)]
+        assert np.all(np.abs(dots) < FLOAT64_EXACT_LIMIT)
+        assert dots.astype(np.int64).tolist() == expected
+        assert join_limbs(dots.astype(np.int64), s).tolist() == [
+            sum(int(v) * int(wi) for v, wi in zip(row, w)) for row in x]
+
+    @pytest.mark.parametrize("taps", [25, 500, 800])  # LeNet-5's weighted stages
+    def test_lenet5_needs_at_most_three_limbs(self, taps):
+        for total in range(8, 33):
+            q = QFormat(total, 0)
+            assert limb_count(float_limb_bits(taps, q.raw_max, q), total) <= 3
+
+    def test_one_limb_where_the_whole_raw_is_exact(self):
+        # the raw_min bound: 800 * 2**15 * (2**15 - 1) < 2**53
+        assert float_limb_bits(800, Q.raw_max, Q) == 16
+        # the accumulator limit: Q19's is 2**53, whatever the weights
+        assert float_limb_bits(1 << 20, (1 << 18) - 1, QFormat(19, 0)) == 19
+
+    def test_no_limb_width_raises(self):
+        q = QFormat(32, 0)
+        assert float_limb_bits(1 << 21, q.raw_max, q) == 1  # 2**52 - 2**21 < 2**52
+        with pytest.raises(ValueError, match="no float64 limb width"):
+            float_limb_bits(1 << 22, (1 << 30), q)  # 2**52
