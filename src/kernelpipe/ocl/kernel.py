@@ -77,10 +77,11 @@ class KernelDef:
 
     ``bindings`` maps region names to global/constant buffers shared by all
     work-items.  ``local_specs``/``private_specs`` map names to
-    ``(element count, dtype)`` pairs, allocated fresh per work-group / per
+    ``(shape, dtype)`` pairs, allocated fresh per work-group / per
     work-item; like OpenCL ``__local`` and ``__private`` arrays, each region
-    has one element type, int64 or float64.  A region name may appear in
-    only one of the three.
+    has a shape, an element count or a tuple of extents
+    (``cols[C][K][K][N]``), and one element type, int64 or float64.  A
+    region name may appear in only one of the three.
 
     With ``lockstep`` the body runs once per work-group for all of its
     items; such a kernel declares no private region, since no single
@@ -90,8 +91,8 @@ class KernelDef:
     name: str
     body: object
     bindings: dict[str, Buffer] = field(default_factory=dict)
-    local_specs: dict[str, tuple[int, type]] = field(default_factory=dict)
-    private_specs: dict[str, tuple[int, type]] = field(default_factory=dict)
+    local_specs: dict[str, tuple[int | tuple[int, ...], type]] = field(default_factory=dict)
+    private_specs: dict[str, tuple[int | tuple[int, ...], type]] = field(default_factory=dict)
     mode: ParallelMode = field(default_factory=ParallelMode)
     lockstep: bool = False
 
@@ -113,13 +114,13 @@ class KernelDef:
                 seen.add(name)
                 if not (isinstance(spec, tuple) and len(spec) == 2):
                     raise ValueError(f"{kind} region {name!r}: spec must be "
-                                     f"(element count, dtype), got {spec!r}")
-                count, dtype = spec
-                positive_int = (isinstance(count, (int, np.integer))
-                                and not isinstance(count, bool) and count >= 1)
-                if not positive_int:
-                    raise ValueError(f"{kind} region {name!r}: element count must be "
-                                     f"a positive int, got {count!r}")
+                                     f"(element count, dtype) or (shape, dtype), got {spec!r}")
+                shape, dtype = spec
+                extents = shape if isinstance(shape, tuple) else (shape,)
+                if not extents or not all(isinstance(n, (int, np.integer))
+                                          and not isinstance(n, bool) and n >= 1 for n in extents):
+                    raise ValueError(f"{kind} region {name!r}: shape must be a positive int "
+                                     f"or a non-empty tuple of positive ints, got {shape!r}")
                 if dtype not in REGION_DTYPES:
                     raise ValueError(f"{kind} region {name!r}: dtype must be int64 or "
                                      f"float64, got {dtype!r}")
@@ -193,32 +194,31 @@ def execute_kernel(kdef: KernelDef, nd: NdRange) -> int:
     try:
         for group_id in group_schedule(nd, kdef.mode.cu_count):
             regions = dict(kdef.bindings)
-            for name, (count, dtype) in kdef.local_specs.items():
-                regions[name] = Buffer(name, count, kind=LOCAL, dtype=dtype,
+            for name, (shape, dtype) in kdef.local_specs.items():
+                regions[name] = Buffer(name, shape, kind=LOCAL, dtype=dtype,
                                        owner_group=group_id)
             if kdef.lockstep:
-                # one call for every lane; each yield is a barrier all of
-                # them reach together
-                memory.current_accessor = AccessScope("group", group_id)
                 global_ids = np.multiply(group_id, nd.local_size) + local_ids
-                gen = kdef.body(WorkGroupCtx(global_ids, local_ids, group_id, regions, macs))
-                if inspect.isgenerator(gen):
-                    for _ in gen:
-                        pass
-                continue
+                runners = [(AccessScope("group", group_id),
+                            WorkGroupCtx(global_ids, local_ids, group_id, regions, macs))]
+            else:
+                runners = []
+                for local_id in nd.local_ids():
+                    gid = nd.global_id(group_id, local_id)
+                    item_regions = dict(regions)
+                    for name, (shape, dtype) in kdef.private_specs.items():
+                        item_regions[name] = Buffer(name, shape, kind=PRIVATE, dtype=dtype,
+                                                    owner_item=gid)
+                    runners.append((AccessScope("item", group_id, gid),
+                                    WorkItemCtx(gid, local_id, group_id, item_regions, macs)))
             # A plain body runs to completion when called; a generator body
             # returns a generator whose every yield is a barrier: advance all
-            # items one phase at a time and require them to agree on every
+            # runners one phase at a time and require them to agree on every
             # barrier.
             alive = []
-            for local_id in nd.local_ids():
-                gid = nd.global_id(group_id, local_id)
-                item_regions = dict(regions)
-                for name, (count, dtype) in kdef.private_specs.items():
-                    item_regions[name] = Buffer(name, count, kind=PRIVATE, dtype=dtype,
-                                                owner_item=gid)
-                scope = memory.current_accessor = AccessScope("item", group_id, gid)
-                gen = kdef.body(WorkItemCtx(gid, local_id, group_id, item_regions, macs))
+            for scope, ctx in runners:
+                memory.current_accessor = scope
+                gen = kdef.body(ctx)
                 if inspect.isgenerator(gen):
                     alive.append((scope, gen))
             while alive:

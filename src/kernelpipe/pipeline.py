@@ -25,7 +25,7 @@ float64.  After the overflow check it splits its input into those limbs
 synthetic weights), stacks them along the image axis, makes one product,
 and joins the limbs' dots with shifts in int64.  Each weight buffer and
 conv local region is float64: the transfer casts the raws, and each conv
-group casts the stage input's limbs once.
+group's one staging write casts the stage input's limbs.
 
 Geometry and weights come from :mod:`kernelpipe.netdef`: each kernel takes
 its conv kernel edge (stride 1) and its pool window and op (non-overlapping)
@@ -37,9 +37,9 @@ lockstep, one lane per item, as the paper's processing units share one
 widened datapath.  A conv stage runs in work-groups of 10 (2 and 5 groups)
 that share one local region, as the paper's processing units share
 BlockRAM: the group reads the batch's stage input from global memory once,
-runs the overflow check and stages the stacked shifted slices as a (taps,
-limbs x images x positions) matrix; after a barrier it reduces that matrix
-with its lanes' filters in one product, joins the limbs and narrows once.
+runs the overflow check and stages its windows with one strided copy as a
+(taps, limbs x images x positions) im2col matrix; after a barrier it reduces
+it with its lanes' filters in one product, joins the limbs and narrows once.
 pool2 is one work-group of 50 lanes.  The overflow check runs per image in
 batch order, so a batch raises at the first stage where some image fails,
 with the message :func:`forward` gives for the first such image alone.
@@ -56,6 +56,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .netdef import MAX_POOL, LayerSpec, NetworkSpec, layer_weights, lenet5_spec, stage_io_shapes
 from .ocl import Buffer, CommandQueue, KernelDef, NdRange, ParallelMode
@@ -80,7 +81,8 @@ from .weights import WeightStore
 #: Work-items per work-group of a conv stage (shrunk to divide its map count).
 CONV_GROUP_SIZE = 10
 
-#: Most images one engine batch should hold: it caps conv2's local region at
+#: Most images one engine batch should hold: it caps conv2's local region,
+#: which staging fills in one copy with no full-size temporary beside it, at
 #: 32 x 32,000 float64 elements per limb (8 MB at one limb, 16 MB at the two
 #: of Q32.16 and Q32.24 with the synthetic weights, 24 MB at most).
 BATCH_SIZE = 32
@@ -170,12 +172,12 @@ def _pool_plane(pool: LayerSpec, q: QFormat):
 def _make_conv(layers, inp: tuple[int, ...], batch: int, q: QFormat, check, limb_bits):
     """Stride-1 valid convolution, fused with pooling when the stage has a
     pool layer.  Each work-group reads the whole batch's input once, splits
-    it into limbs of ``limb_bits`` bits, casts them to float64 and stages
-    their shifted slices in the local region ``cols``, one column per limb,
-    image and output position; after the barrier, lane m reduces them with
-    filter m (all lanes in one product), joins the limbs, adds bias m in
-    int64, narrows its conv maps, pools them if fused, and writes output
-    map m of every image."""
+    it into limbs of ``limb_bits`` bits and copies their k x k windows into
+    the float64 local region ``cols`` of shape (C, k, k, limbs x images, oh,
+    ow), a (taps, -1) matrix of one column per limb, image and position;
+    after the barrier, lane m reduces them with filter m (all lanes in one
+    product), joins the limbs, adds bias m in int64, narrows its conv maps,
+    pools them if fused, and writes output map m of every image."""
     pool = _pool_plane(layers[1], q) if len(layers) > 1 else None
     frac = q.frac_bits
     k = layers[0].kernel
@@ -190,10 +192,8 @@ def _make_conv(layers, inp: tuple[int, ...], batch: int, q: QFormat, check, limb
         if check:
             check(x)
         x = split_limbs(x, limb_bits, q.total_bits).reshape(limbs * batch, *inp)
-        x = x.astype(np.float64).swapaxes(0, 1)  # (channels, limbs x images, H, W)
-        cols.write(Ellipsis, np.stack(
-            [x[..., dy:dy + oh, dx:dx + ow] for dy in range(k) for dx in range(k)],
-            axis=1).reshape(-1))
+        windows = sliding_window_view(x, (k, k), axis=(2, 3))  # (limbs x images, C, oh, ow, k, k)
+        cols.write(Ellipsis, windows.transpose(1, 4, 5, 0, 2, 3))
         yield
         w = ctx.regions["wts"].read(m).reshape(len(m), taps)
         parts = (w @ cols.read(Ellipsis).reshape(taps, -1)).astype(np.int64)
@@ -203,7 +203,7 @@ def _make_conv(layers, inp: tuple[int, ...], batch: int, q: QFormat, check, limb
         ctx.regions["dst"].write((slice(None), m), (pool(conv) if pool else conv).swapaxes(0, 1))
         ctx.count_macs(conv.size * taps)
 
-    return body, {"cols": (taps * limbs * batch * oh * ow, np.float64)}
+    return body, {"cols": ((inp[0], k, k, limbs * batch, oh, ow), np.float64)}
 
 
 def _make_pool(layers, inp: tuple[int, ...], batch: int, q: QFormat, check, limb_bits):
@@ -243,7 +243,7 @@ def _make_fc(layers, inp: tuple[int, ...], batch: int, q: QFormat, check, limb_b
 
 #: Kernel factory ``(stage layers, one image's stage input shape, batch size,
 #: format, overflow check, activation limb width) -> (body, local region
-#: (count, dtype) specs)`` per kind of a stage's first layer.
+#: (shape, dtype) specs)`` per kind of a stage's first layer.
 _KERNEL_FACTORIES = {"conv": _make_conv, "pool": _make_pool, "fully_connected": _make_fc}
 
 

@@ -505,7 +505,8 @@ class TestRegionAccess:
             KernelDef("k", lambda ctx: None, bindings={"out": out}, **specs)
 
     @pytest.mark.parametrize("kind", ["local_specs", "private_specs"])
-    @pytest.mark.parametrize("count", [0, -1, 2.0, True, "4"])
+    @pytest.mark.parametrize("count", [0, -1, 2.0, True, "4",
+                                       (), (4, 0), (4, -1), (2.0, 4), (True, 4), (4, "4")])
     def test_spec_count_must_be_positive_int(self, kind, count):
         with pytest.raises(ValueError, match="region 'scratch'.*positive int"):
             KernelDef("k", lambda ctx: None, **{kind: {"scratch": (count, np.int64)}})
@@ -524,20 +525,23 @@ class TestRegionAccess:
             KernelDef("k", lambda ctx: None, **{kind: {"scratch": spec}})
 
     @pytest.mark.parametrize("kind", ["local_specs", "private_specs"])
-    def test_regions_take_their_spec_dtype(self, kind):
+    @pytest.mark.parametrize("shape,extents", [(2, (2,)), ((2, 3), (2, 3))],
+                             ids=["count", "shaped"])
+    def test_regions_take_their_spec_dtype(self, kind, shape, extents):
         out = Buffer("out", 4, dtype=np.float64)
         seen = []
 
         def probe(ctx):
             scratch = ctx.regions["scratch"]
             scratch.write(0, 0.5)
-            seen.append(scratch.read(Ellipsis).dtype)
-            out.write(ctx.global_id, scratch.read(0))
+            region = scratch.read(Ellipsis)
+            seen.append((region.shape, region.dtype))
+            out.write(ctx.global_id, region.max())
 
         run_single(KernelDef("typed", probe, bindings={"out": out},
-                             **{kind: {"scratch": (2, np.float64)}}),
+                             **{kind: {"scratch": (shape, np.float64)}}),
                    NdRange((4,), (4,)))
-        assert set(seen) == {np.dtype(np.float64)}
+        assert set(seen) == {(extents, np.dtype(np.float64))}
         assert out.array.tolist() == [0.5] * 4
 
 
